@@ -67,10 +67,6 @@ def _count_table(args: argparse.Namespace) -> enumeration.CountTable:
                     table.entries[(n, k)] = c
         return table
     if args.producer == "maps":
-        if name != "classes-neutral":
-            raise SystemExit(
-                "the maps producer only counts classes-neutral (edges, vertices)"
-            )
         table = enumeration.CountTable(max_n=args.max_n, provenance="maps:all-genera")
         for n in range(1, args.max_n + 1):
             cens = maps.census(n, Variant.ALL_GENERA, cap_override=args.cap_override)
@@ -180,7 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crosscheck", help="run all agreement and reference checks")
     p.add_argument("--max-n", type=int, default=5)
     p.add_argument("--cap-override", type=int, default=None,
-                   help="raise the enumeration and map-census caps (defaults 5 and 4)")
+                   help="raise the enumeration and map-census caps (defaults 5 and 5)")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("series-table", help="print one family's coefficient table")
@@ -199,8 +195,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_usage(args: argparse.Namespace) -> None:
+    """Raise ValueError for arguments the map census would reject."""
+    if args.command == "maps-census":
+        maps.check_edge_count(args.edges, _MAP_VARIANTS[args.variant], args.cap_override)
+    elif args.command == "count" and args.producer == "maps":
+        if args.family != "classes-neutral":
+            raise ValueError("the maps producer only counts classes-neutral (edges, vertices)")
+        if args.max_n >= 1:
+            maps.check_edge_count(args.max_n, Variant.ALL_GENERA, args.cap_override)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    try:
+        _check_usage(args)
+    except ValueError as err:
+        parser.error(str(err))
     if args.command == "count":
         return cmd_count(args)
     if args.command == "list":

@@ -246,8 +246,8 @@ def run_crosscheck(
     max_n: int = 5,
     *,
     enum_cap: int = 5,
-    maps_cap: int = 4,
-    trivalent_edge_cap: int = 6,
+    maps_cap: int = 5,
+    trivalent_edge_cap: int = 12,
     series_trunc: int = 12,
     references: ReferenceSequences = REFERENCE_SEQUENCES,
 ) -> CrossCheckReport:
@@ -367,17 +367,23 @@ def run_crosscheck(
         )
     )
 
+    # the census emits each map once without consulting canonical_code, so
+    # the independent code must find no two of them isomorphic
     parity_problem = None
+    repeat_problem = None
     for n in censuses:
+        codes: dict[bytes, maps.RootedMap] = {}
         for m in maps.census_maps(n, Variant.ALL_GENERA, cap_override=maps_cap):
             chi = (
                 maps.cycle_count(m.sigma)
                 - maps.cycle_count(m.alpha)
                 + maps.cycle_count(maps.faces(m))
             )
-            if (2 - chi) % 2 or maps.genus(m) < 0:
+            if parity_problem is None and ((2 - chi) % 2 or maps.genus(m) < 0):
                 parity_problem = f"map {m.to_text()} has odd Euler defect"
-                break
+            twin = codes.setdefault(maps.canonical_code(m), m)
+            if repeat_problem is None and twin is not m:
+                repeat_problem = f"maps {twin.to_text()} and {m.to_text()} are isomorphic"
     report.checks.append(
         CheckResult(
             "maps:euler-parity",
@@ -385,6 +391,15 @@ def run_crosscheck(
             f"n<={maps_n}",
             parity_problem is None,
             parity_problem,
+        )
+    )
+    report.checks.append(
+        CheckResult(
+            "maps:distinct-codes",
+            "census maps pairwise non-isomorphic",
+            f"n<={maps_n}",
+            repeat_problem is None,
+            repeat_problem,
         )
     )
 

@@ -3,7 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail line
 per criterion.  Enumeration-side checks stop at size 5 (their sanctioned
 runtime cutoff); the series side always reaches size 6.  The size-6 linear
-enumeration and the 5-edge map census are available under ``-m slow``.
+enumeration is available under ``-m slow``.
 """
 
 import random
@@ -224,7 +224,6 @@ def test_criterion_8_property_suites():
     )
 
 
-@pytest.mark.slow
 def test_optional_map_census_at_five_edges():
     total = census(5, Variant.ALL_GENERA).total()
     report(5, total == 8162, f"all-genera census at 5 edges: {total}")

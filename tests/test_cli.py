@@ -116,6 +116,53 @@ class TestMapsCensus:
         assert total == 9
 
 
+def usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return exc.value.code, captured.err
+
+
+class TestUsageErrors:
+    def test_zero_edges(self, capsys):
+        code, err = usage_error(capsys, "maps-census", "--edges", "0")
+        assert code == 2
+        assert "at least one edge" in err
+
+    def test_negative_trivalent_edges(self, capsys):
+        code, err = usage_error(
+            capsys, "maps-census", "--edges", "-2", "--variant", "trivalent"
+        )
+        assert code == 2
+        assert "at least one edge" in err
+
+    def test_census_over_cap(self, capsys):
+        code, err = usage_error(capsys, "maps-census", "--edges", "7")
+        assert code == 2
+        assert "exceeds the all cap of 6" in err
+
+    def test_trivalent_census_over_cap(self, capsys):
+        code, err = usage_error(
+            capsys, "maps-census", "--edges", "15", "--variant", "trivalent"
+        )
+        assert code == 2
+        assert "exceeds the trivalent cap of 12" in err
+
+    def test_maps_producer_over_cap(self, capsys):
+        code, err = usage_error(
+            capsys, "count", "--family", "classes-neutral", "--producer", "maps",
+            "--max-n", "7",
+        )
+        assert code == 2
+        assert "exceeds the all cap of 6" in err
+
+    def test_maps_producer_term_family(self, capsys):
+        code, err = usage_error(capsys, "count", "--family", "normal", "--producer", "maps")
+        assert code == 2
+        assert "only counts classes-neutral" in err
+
+
 class TestCrosscheck:
     def test_small_run_passes(self, capsys):
         code, out = run(capsys, "crosscheck", "--max-n", "2")
