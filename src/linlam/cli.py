@@ -195,8 +195,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the least --max-n each command accepts; crosscheck needs a size to compare
+_LEAST_MAX_N = {"count": 0, "series-table": 0, "crosscheck": 1}
+
+
 def _check_usage(args: argparse.Namespace) -> None:
-    """Raise ValueError for arguments the map census would reject."""
+    """Raise ValueError for out-of-range sizes and map censuses."""
+    least = _LEAST_MAX_N.get(args.command)
+    if least is not None and args.max_n < least:
+        raise ValueError(f"--max-n must be at least {least}")
+    if args.command == "list" and min(args.n, args.k) < 0:
+        raise ValueError("--n and --k must be non-negative")
     if args.command == "maps-census":
         maps.check_edge_count(args.edges, _MAP_VARIANTS[args.variant], args.cap_override)
     elif args.command == "count" and args.producer == "maps":

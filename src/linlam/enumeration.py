@@ -1,10 +1,14 @@
 """Exhaustive generation of linear term families, indexed by size and context.
 
-Each family is generated by a grammar over an explicit ordered context of
-free-variable positions.  An application splits the context between function
-and argument (all subsets for the labeled families, contiguous blocks for
-the planar ones) and an abstraction binds one designated fresh position, so
-every qualifying term is produced exactly once.
+Each family is generated by its grammar over an explicit ordered context of
+atoms: a free position FVar(j), or the depth of an enclosing binder.  An
+application splits the context between function and argument, and the split
+is the grammar's one parameter: all subsets for the labeled families,
+contiguous blocks (function first) for the planar ones.  An abstraction at
+depth d appends d to the context, and a leaf at depth d emits its atom
+directly, FVar(j) as it is and the binder from depth b as Var(d - 1 - b), so
+no generated body is rewritten and every qualifying term is produced
+exactly once.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from itertools import combinations
 from typing import Callable, Iterator
 
@@ -26,105 +31,72 @@ class Family(Enum):
     PLANAR_NORMAL = "planar-normal"
 
 
-Positions = tuple[int, ...]
+Atom = FVar | int
+Context = tuple[Atom, ...]
+Split = Callable[[Context], Iterator[tuple[Context, Context]]]
 
 
-def _bind(t: Term, label: int, depth: int = 0) -> Term:
-    """Replace the free position ``label`` by the binder ``depth`` levels up."""
-    if isinstance(t, FVar):
-        return Var(depth) if t.index == label else t
-    if isinstance(t, Var):
-        return t
-    if isinstance(t, App):
-        return App(_bind(t.fun, label, depth), _bind(t.arg, label, depth))
-    return Lam(_bind(t.body, label, depth + 1))
-
-
-def _subset_splits(pos: Positions) -> Iterator[tuple[Positions, Positions]]:
+def _subset_splits(ctx: Context) -> Iterator[tuple[Context, Context]]:
     # every way to hand a sub-context to the function, the rest to the argument
-    for r in range(len(pos) + 1):
-        for chosen in combinations(pos, r):
+    for r in range(len(ctx) + 1):
+        for chosen in combinations(ctx, r):
             taken = set(chosen)
-            yield chosen, tuple(p for p in pos if p not in taken)
+            yield chosen, tuple(a for a in ctx if a not in taken)
 
 
-def _block_splits(pos: Positions) -> Iterator[tuple[Positions, Positions]]:
+def _block_splits(ctx: Context) -> Iterator[tuple[Context, Context]]:
     # ordered context cut in two: function gets the front block
-    for i in range(len(pos) + 1):
-        yield pos[:i], pos[i:]
+    for i in range(len(ctx) + 1):
+        yield ctx[:i], ctx[i:]
 
 
-def _fresh(pos: Positions) -> int:
-    return pos[-1] + 1 if pos else 0
+def _leaf(atom: Atom, depth: int) -> Term:
+    return atom if isinstance(atom, FVar) else Var(depth - 1 - atom)
 
 
-def _linear(n: int, pos: Positions) -> Iterator[Term]:
-    if n < 1 or len(pos) > n:
+def _linear(split: Split, n: int, ctx: Context, depth: int) -> Iterator[Term]:
+    if n < 1 or len(ctx) > n:
         return
-    if n == 1 and len(pos) == 1:
-        yield FVar(pos[0])
+    if n == 1 and len(ctx) == 1:
+        yield _leaf(ctx[0], depth)
     for n_fun in range(1, n):
         n_arg = n - n_fun
-        for fun_pos, arg_pos in _subset_splits(pos):
-            for fun in _linear(n_fun, fun_pos):
-                for arg in _linear(n_arg, arg_pos):
+        for fun_ctx, arg_ctx in split(ctx):
+            for fun in _linear(split, n_fun, fun_ctx, depth):
+                for arg in _linear(split, n_arg, arg_ctx, depth):
                     yield App(fun, arg)
-    fresh = _fresh(pos)
-    for body in _linear(n, pos + (fresh,)):
-        yield Lam(_bind(body, fresh))
+    for body in _linear(split, n, ctx + (depth,), depth + 1):
+        yield Lam(body)
 
 
-def _neutral(n: int, pos: Positions) -> Iterator[Term]:
-    # size n means n + 1 variable occurrences; the head is always free here
-    if n < 0 or not pos or len(pos) > n + 1:
+def _neutral(split: Split, n: int, ctx: Context, depth: int) -> Iterator[Term]:
+    # size n means n + 1 variable occurrences
+    if n < 0 or not ctx or len(ctx) > n + 1:
         return
-    if n == 0 and len(pos) == 1:
-        yield FVar(pos[0])
+    if n == 0 and len(ctx) == 1:
+        yield _leaf(ctx[0], depth)
     for n_fun in range(n):
         n_arg = n - n_fun
-        for fun_pos, arg_pos in _subset_splits(pos):
-            for fun in _neutral(n_fun, fun_pos):
-                for arg in _normal(n_arg, arg_pos):
+        for fun_ctx, arg_ctx in split(ctx):
+            for fun in _neutral(split, n_fun, fun_ctx, depth):
+                for arg in _normal(split, n_arg, arg_ctx, depth):
                     yield App(fun, arg)
 
 
-def _normal(n: int, pos: Positions) -> Iterator[Term]:
-    if n < 1 or len(pos) > n:
+def _normal(split: Split, n: int, ctx: Context, depth: int) -> Iterator[Term]:
+    if n < 1 or len(ctx) > n:
         return
-    yield from _neutral(n - 1, pos)
-    fresh = _fresh(pos)
-    for body in _normal(n, pos + (fresh,)):
-        yield Lam(_bind(body, fresh))
+    yield from _neutral(split, n - 1, ctx, depth)
+    for body in _normal(split, n, ctx + (depth,), depth + 1):
+        yield Lam(body)
 
 
-def _planar_neutral(n: int, pos: Positions) -> Iterator[Term]:
-    if n < 0 or not pos or len(pos) > n + 1:
-        return
-    if n == 0 and len(pos) == 1:
-        yield FVar(pos[0])
-    for n_fun in range(n):
-        n_arg = n - n_fun
-        for fun_pos, arg_pos in _block_splits(pos):
-            for fun in _planar_neutral(n_fun, fun_pos):
-                for arg in _planar_normal(n_arg, arg_pos):
-                    yield App(fun, arg)
-
-
-def _planar_normal(n: int, pos: Positions) -> Iterator[Term]:
-    if n < 1 or len(pos) > n:
-        return
-    yield from _planar_neutral(n - 1, pos)
-    fresh = _fresh(pos)  # always the top of the context stack
-    for body in _planar_normal(n, pos + (fresh,)):
-        yield Lam(_bind(body, fresh))
-
-
-_GENERATORS: dict[Family, Callable[[int, Positions], Iterator[Term]]] = {
-    Family.LINEAR: _linear,
-    Family.NEUTRAL: _neutral,
-    Family.NORMAL: _normal,
-    Family.PLANAR_NEUTRAL: _planar_neutral,
-    Family.PLANAR_NORMAL: _planar_normal,
+_GENERATORS: dict[Family, Callable[[int, Context, int], Iterator[Term]]] = {
+    Family.LINEAR: partial(_linear, _subset_splits),
+    Family.NEUTRAL: partial(_neutral, _subset_splits),
+    Family.NORMAL: partial(_normal, _subset_splits),
+    Family.PLANAR_NEUTRAL: partial(_neutral, _block_splits),
+    Family.PLANAR_NORMAL: partial(_normal, _block_splits),
 }
 
 
@@ -136,7 +108,7 @@ def enum_family(family: Family, n: int, k: int) -> Iterator[Term]:
     """
     if n < 0 or k < 0:
         raise ValueError("size and context must be non-negative")
-    return _GENERATORS[family](n, tuple(range(k)))
+    return _GENERATORS[family](n, tuple(FVar(j) for j in range(k)), 0)
 
 
 # ---------------------------------------------------------------------------

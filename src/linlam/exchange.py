@@ -18,19 +18,16 @@ from .enumeration import CountTable, Family, enum_family
 from .terms import App, FVar, Lam, Term, Var
 
 
-def _swap_pair(t: Term, depth: int = 0) -> Term:
-    # exchange references to the two binders immediately above this subterm
+def _rebind(t: Term, perm: dict[int, int], depth: int = 0) -> Term:
+    """Send each reference to the binder b levels above t to perm.get(b, b)."""
     if isinstance(t, Var):
-        if t.index == depth:
-            return Var(depth + 1)
-        if t.index == depth + 1:
-            return Var(depth)
-        return t
+        b = t.index - depth
+        return Var(depth + perm[b]) if b in perm else t
     if isinstance(t, FVar):
         return t
     if isinstance(t, App):
-        return App(_swap_pair(t.fun, depth), _swap_pair(t.arg, depth))
-    return Lam(_swap_pair(t.body, depth + 1))
+        return App(_rebind(t.fun, perm, depth), _rebind(t.arg, perm, depth))
+    return Lam(_rebind(t.body, perm, depth + 1))
 
 
 def local_exchanges(t: Term) -> list[Term]:
@@ -38,7 +35,7 @@ def local_exchanges(t: Term) -> list[Term]:
     out: list[Term] = []
     if isinstance(t, Lam):
         if isinstance(t.body, Lam):
-            out.append(Lam(Lam(_swap_pair(t.body.body))))
+            out.append(Lam(Lam(_rebind(t.body.body, {0: 1, 1: 0}))))
         out.extend(Lam(b) for b in local_exchanges(t.body))
     elif isinstance(t, App):
         out.extend(App(f, t.arg) for f in local_exchanges(t.fun))
@@ -57,21 +54,6 @@ def _occurrences(t: Term, depth: int, block: int, out: list[int]) -> None:
         _occurrences(t.arg, depth, block, out)
     elif isinstance(t, Lam):
         _occurrences(t.body, depth + 1, block, out)
-
-
-def _renumber(t: Term, depth: int, block: int, perm: dict[int, int]) -> Term:
-    if isinstance(t, Var):
-        b = t.index - depth
-        if 0 <= b < block:
-            return Var(depth + perm[b])
-        return t
-    if isinstance(t, FVar):
-        return t
-    if isinstance(t, App):
-        return App(
-            _renumber(t.fun, depth, block, perm), _renumber(t.arg, depth, block, perm)
-        )
-    return Lam(_renumber(t.body, depth + 1, block, perm))
 
 
 def canonicalize(t: Term) -> Term:
@@ -95,7 +77,7 @@ def canonicalize(t: Term) -> Term:
     if len(order) != block:
         raise ValueError("canonicalize requires a linear term")
     perm = {b: block - 1 - rank for rank, b in enumerate(order)}
-    body = _renumber(body, 0, block, perm)
+    body = _rebind(body, perm)
     for _ in range(block):
         body = Lam(body)
     return body

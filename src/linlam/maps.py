@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
 
@@ -307,6 +307,15 @@ class MapCensus:
     n_edges: int
     entries: dict[tuple[int, int], int]
 
+    @classmethod
+    def tally(cls, variant: Variant, n_edges: int, reps: Iterable[RootedMap]) -> MapCensus:
+        """Count the given maps with n edges by vertex count."""
+        entries: dict[tuple[int, int], int] = {}
+        for m in reps:
+            key = (n_edges, m.n_vertices)
+            entries[key] = entries.get(key, 0) + 1
+        return cls(variant, n_edges, entries)
+
     def count(self, n: int, k: int) -> int:
         return self.entries.get((n, k), 0)
 
@@ -332,8 +341,4 @@ def census(
     n_edges: int, variant: Variant = Variant.ALL_GENERA, cap_override: int | None = None
 ) -> MapCensus:
     """Tally the deduplicated maps with n edges by vertex count."""
-    entries: dict[tuple[int, int], int] = {}
-    for m in census_maps(n_edges, variant, cap_override):
-        key = (n_edges, m.n_vertices)
-        entries[key] = entries.get(key, 0) + 1
-    return MapCensus(variant, n_edges, entries)
+    return MapCensus.tally(variant, n_edges, census_maps(n_edges, variant, cap_override))

@@ -163,6 +163,34 @@ class TestUsageErrors:
         assert "only counts classes-neutral" in err
 
 
+    def test_negative_list_size(self, capsys):
+        code, err = usage_error(capsys, "list", "--family", "normal", "--n", "-1")
+        assert code == 2
+        assert "must be non-negative" in err
+
+    def test_negative_list_context(self, capsys):
+        code, err = usage_error(
+            capsys, "list", "--family", "normal", "--n", "2", "--k", "-1"
+        )
+        assert code == 2
+        assert "must be non-negative" in err
+
+    def test_negative_series_table(self, capsys):
+        code, err = usage_error(capsys, "series-table", "--family", "L", "--max-n", "-3")
+        assert code == 2
+        assert "--max-n must be at least 0" in err
+
+    def test_negative_count(self, capsys):
+        code, err = usage_error(capsys, "count", "--family", "linear", "--max-n", "-1")
+        assert code == 2
+        assert "--max-n must be at least 0" in err
+
+    def test_crosscheck_below_one(self, capsys):
+        code, err = usage_error(capsys, "crosscheck", "--max-n", "0")
+        assert code == 2
+        assert "--max-n must be at least 1" in err
+
+
 class TestCrosscheck:
     def test_small_run_passes(self, capsys):
         code, out = run(capsys, "crosscheck", "--max-n", "2")
@@ -193,6 +221,58 @@ class TestCrosscheck:
         bad_check = next(c for c in report.checks if c.name == "references:series-quotient")
         assert "n=3" in bad_check.divergence
         assert "10 != 11" in bad_check.divergence
+
+    def test_empty_sequence_fails(self):
+        result = crosscheck._compare_sequences("row", "a vs b", [], [1, 2])
+        assert not result.ok
+        assert result.divergence == "compared nothing"
+
+    def test_zero_caps_fail(self, capsys):
+        code, out = run(capsys, "crosscheck", "--max-n", "2", "--cap-override", "0")
+        assert code == 1
+        assert "crosscheck: FAIL" in out
+        report = run_crosscheck(2, enum_cap=0, maps_cap=0)
+        failing = {c.name for c in report.checks if not c.ok}
+        assert {
+            "classes-vs-series:normal-closed",
+            "series-vs-census:bivariate",
+            "classes-vs-census:bivariate",
+            "maps:euler-parity",
+            "maps:distinct-codes",
+            "references:enum-linear",
+            "references:maps-quotient",
+        } <= failing
+        assert all(
+            c.divergence == "compared nothing" for c in report.checks if not c.ok
+        )
+
+    def test_each_map_census_generated_once(self, monkeypatch):
+        calls = []
+        original = maps.census_maps
+
+        def spy(n_edges, variant=maps.Variant.ALL_GENERA, cap_override=None):
+            calls.append((n_edges, variant))
+            return original(n_edges, variant, cap_override)
+
+        monkeypatch.setattr(maps, "census_maps", spy)
+        assert run_crosscheck(3).ok
+        assert len(calls) == len(set(calls))
+        assert [n for n, v in calls if v is maps.Variant.ALL_GENERA] == [1, 2, 3]
+
+    def test_euler_parity_reports_genus_error(self, monkeypatch):
+        # one dart fixed by both permutations: Euler defect 1
+        invalid = maps.RootedMap((0,), (0,))
+        original = maps.census_maps
+
+        def with_invalid(n_edges, variant=maps.Variant.ALL_GENERA, cap_override=None):
+            reps = original(n_edges, variant, cap_override)
+            return reps + [invalid] if variant is maps.Variant.ALL_GENERA else reps
+
+        monkeypatch.setattr(maps, "census_maps", with_invalid)
+        report = run_crosscheck(2)
+        row = next(c for c in report.checks if c.name == "maps:euler-parity")
+        assert not row.ok
+        assert row.divergence == f"map {invalid.to_text()}: odd Euler defect: invalid map"
 
     def test_output_is_deterministic(self, capsys):
         _, first = run(capsys, "crosscheck", "--max-n", "2")

@@ -1,10 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
 from linlam.enumeration import CountTable, Family, count_family, enum_family
 from linlam.series import FamilyName, solve
-from linlam.terms import Kind, check_linear, classify, parse, render
+from linlam.terms import Kind, check_linear, classify, parse, render, to_ascii
 
 # series family backing each enumerated family
 SERIES_OF = {
@@ -70,6 +71,27 @@ class TestClosedPrefixes:
         assert table.row(0) == [0, 1]
         assert table.row(1) == [0, 1, 2]
         assert table.row(2) == [0, 4, 10, 12]
+
+
+# sha256 over to_ascii(t) + "\n" for every term of enum_family(family, n, k),
+# n = 0..4 and k = 0..n+1 in that order: pins the enumeration order
+ORDER_SHA256 = {
+    Family.LINEAR: "56570f8ea2d6925ee4279b4f8f0ebbe0d7c4e126e8e19266f436db6980fa3600",
+    Family.NEUTRAL: "777c7bdf05f06554e6f2aa268a1f81fb3934fe6c58c9b428bc207738784cf281",
+    Family.NORMAL: "a60968431d6878138a0b479851225700211df8a6e24dd3a95443f0fcf5c41241",
+    Family.PLANAR_NEUTRAL: "b6cf31b01f62f7d9cf28b3ccb49ec47c69d6c5ab791344f3d8c381d250a165c1",
+    Family.PLANAR_NORMAL: "75cac3baeed49aa02bffca23c48696978509cb2d2feb19ae6ef67c255d354c45",
+}
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_enumeration_order_is_pinned(family):
+    digest = hashlib.sha256()
+    for n in range(5):
+        for k in range(n + 2):
+            for t in enum_family(family, n, k):
+                digest.update(to_ascii(t).encode() + b"\n")
+    assert digest.hexdigest() == ORDER_SHA256[family]
 
 
 @pytest.mark.parametrize("family", list(Family))
