@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass
 from math import factorial
 
+from . import enumeration
 from .enumeration import CountTable, Family, enum_family
 from .terms import App, FVar, Lam, Term, Var
 
@@ -101,33 +102,44 @@ class ClassCounts:
 
     The labeled table counts distinct canonical forms per (size, context)
     cell; relabeling the k context positions acts freely on classes, so the
-    unlabeled table is the labeled one divided by k!.
+    unlabeled table is the labeled one divided by k!.  The terms table
+    counts the terms whose canonical forms were collected, from the same
+    pass.
     """
 
     family: Family
     labeled: CountTable
     unlabeled: CountTable
+    terms: CountTable
 
 
 def count_classes(family: Family, max_n: int) -> ClassCounts:
-    """Count exchange classes of a family by canonical-form deduplication."""
+    """Count terms and exchange classes of a family in one enumeration pass.
+
+    Each cell's terms are counted and deduplicated by canonical form as they
+    stream past.
+    """
     if family not in _CLASS_FAMILIES:
         raise ValueError("class censuses cover the neutral and normal families")
+    terms = CountTable(max_n=max_n, provenance=f"enum:{family.value}")
     labeled = CountTable(max_n=max_n, provenance=f"classes:{family.value}")
     unlabeled = CountTable(max_n=max_n, provenance=f"classes:{family.value}:unlabeled")
-    for n in range(max_n + 1):
-        for k in range(n + 2):
-            forms = {canonicalize(t) for t in enum_family(family, n, k)}
-            if not forms:
-                continue
-            labeled.entries[(n, k)] = len(forms)
-            q, rem = divmod(len(forms), factorial(k))
-            if rem:
-                raise ArithmeticError(
-                    f"class count at ({n}, {k}) is not divisible by {k}!"
-                )
-            unlabeled.entries[(n, k)] = q
-    return ClassCounts(family, labeled, unlabeled)
+    for n, k, cell in enumeration.enum_cells(family, max_n):
+        count, forms = 0, set()
+        for t in cell:
+            count += 1
+            forms.add(canonicalize(t))
+        if not count:
+            continue
+        terms.entries[(n, k)] = count
+        labeled.entries[(n, k)] = len(forms)
+        q, rem = divmod(len(forms), factorial(k))
+        if rem:
+            raise ArithmeticError(
+                f"class count at ({n}, {k}) is not divisible by {k}!"
+            )
+        unlabeled.entries[(n, k)] = q
+    return ClassCounts(family, labeled, unlabeled, terms)
 
 
 def class_groups(family: Family, n: int, k: int = 0) -> list[list[Term]]:

@@ -1,9 +1,9 @@
 """Acceptance criteria, one test per criterion, zero tolerance throughout.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail line
-per criterion.  Enumeration-side checks stop at size 5 (their sanctioned
-runtime cutoff); the series side always reaches size 6.  The size-6 linear
-enumeration is available under ``-m slow``.
+per criterion.  Enumeration-side censuses stop at size 5 (their sanctioned
+runtime cutoff), apart from the closed linear size-6 cell; the series side
+always reaches size 6.
 """
 
 import random
@@ -66,7 +66,6 @@ def test_criterion_1_closed_linear_terms(linear_table):
     )
 
 
-@pytest.mark.slow
 def test_criterion_1_closed_linear_terms_size_6_enumeration():
     count = sum(1 for _ in enum_family(Family.LINEAR, 6, 0))
     report(1, count == 828250, f"closed linear enumeration at size 6: {count}")

@@ -246,6 +246,32 @@ class TestCrosscheck:
             c.divergence == "compared nothing" for c in report.checks if not c.ok
         )
 
+    def test_reference_list_window_is_what_was_enumerated(self):
+        def row(report):
+            return next(c for c in report.checks if c.name == "terms:embedded-list")
+
+        empty = row(run_crosscheck(2, enum_cap=0, maps_cap=0))
+        assert not empty.ok
+        assert empty.divergence == "compared nothing"
+        assert empty.indices == "sizes 1..0"
+        assert row(run_crosscheck(2)).indices == "sizes 1..2"
+        assert row(run_crosscheck(3)).indices == "sizes 1..3"
+
+    def test_each_class_family_enumerated_once(self, monkeypatch):
+        cells = []
+        original = enumeration.enum_cells
+
+        def spy(family, max_n):
+            for n, k, terms in original(family, max_n):
+                cells.append((family, n, k))
+                yield n, k, terms
+
+        monkeypatch.setattr(enumeration, "enum_cells", spy)
+        assert run_crosscheck(3).ok
+        for family in (enumeration.Family.NEUTRAL, enumeration.Family.NORMAL):
+            got = [(n, k) for f, n, k in cells if f is family]
+            assert got == [(n, k) for n in range(4) for k in range(n + 2)]
+
     def test_each_map_census_generated_once(self, monkeypatch):
         calls = []
         original = maps.census_maps

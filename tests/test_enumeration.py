@@ -1,9 +1,12 @@
 import hashlib
 import json
+import tracemalloc
+from collections.abc import Iterator
+from itertools import islice
 
 import pytest
 
-from linlam.enumeration import CountTable, Family, count_family, enum_family
+from linlam.enumeration import CountTable, Family, count_family, enum_cells, enum_family
 from linlam.series import FamilyName, solve
 from linlam.terms import Kind, check_linear, classify, parse, render, to_ascii
 
@@ -74,24 +77,65 @@ class TestClosedPrefixes:
 
 
 # sha256 over to_ascii(t) + "\n" for every term of enum_family(family, n, k),
-# n = 0..4 and k = 0..n+1 in that order: pins the enumeration order
+# n = 0..N and k = 0..n+1 in that order, for N = 4 and N = 5: pins the
+# enumeration order
 ORDER_SHA256 = {
-    Family.LINEAR: "56570f8ea2d6925ee4279b4f8f0ebbe0d7c4e126e8e19266f436db6980fa3600",
-    Family.NEUTRAL: "777c7bdf05f06554e6f2aa268a1f81fb3934fe6c58c9b428bc207738784cf281",
-    Family.NORMAL: "a60968431d6878138a0b479851225700211df8a6e24dd3a95443f0fcf5c41241",
-    Family.PLANAR_NEUTRAL: "b6cf31b01f62f7d9cf28b3ccb49ec47c69d6c5ab791344f3d8c381d250a165c1",
-    Family.PLANAR_NORMAL: "75cac3baeed49aa02bffca23c48696978509cb2d2feb19ae6ef67c255d354c45",
+    Family.LINEAR: (
+        "56570f8ea2d6925ee4279b4f8f0ebbe0d7c4e126e8e19266f436db6980fa3600",
+        "56b14a616b5bd101167430c03511d50186c4206296feef84d85149fa4ac53dc0",
+    ),
+    Family.NEUTRAL: (
+        "777c7bdf05f06554e6f2aa268a1f81fb3934fe6c58c9b428bc207738784cf281",
+        "e76a6fe82e01b95e9e5200293e7a2dea493a90eaa062d8f758007e575390e095",
+    ),
+    Family.NORMAL: (
+        "a60968431d6878138a0b479851225700211df8a6e24dd3a95443f0fcf5c41241",
+        "be06b2e5dc2174c2cb8ce678ee2cd10c1ff0c78b390de93abf2d285c564c965d",
+    ),
+    Family.PLANAR_NEUTRAL: (
+        "b6cf31b01f62f7d9cf28b3ccb49ec47c69d6c5ab791344f3d8c381d250a165c1",
+        "ef767ecbd7872c6bf9f424c4e0d6556302792d05b0c12c9ae7b582570e00eda8",
+    ),
+    Family.PLANAR_NORMAL: (
+        "75cac3baeed49aa02bffca23c48696978509cb2d2feb19ae6ef67c255d354c45",
+        "2b96145de487c69452e3aafbd5d831ccfdb7a7c29e7a3eb708cbcfef447d3ed0",
+    ),
 }
 
 
 @pytest.mark.parametrize("family", list(Family))
 def test_enumeration_order_is_pinned(family):
     digest = hashlib.sha256()
-    for n in range(5):
+    got = []
+    for n in range(6):
         for k in range(n + 2):
             for t in enum_family(family, n, k):
                 digest.update(to_ascii(t).encode() + b"\n")
-    assert digest.hexdigest() == ORDER_SHA256[family]
+        if n >= 4:
+            got.append(digest.copy().hexdigest())
+    assert tuple(got) == ORDER_SHA256[family]
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_cells_match_enum_family(family):
+    # a census's cells share sub-results but yield each cell's own sequence
+    for n, k, cell in enum_cells(family, 4):
+        assert list(cell) == list(enum_family(family, n, k)), (family, n, k)
+
+
+def test_enum_family_is_lazy():
+    # the first terms of the 828,250-term closed linear size-6 cell need only
+    # the smaller sub-results: about 6 MB, where holding the cell takes 150 MB
+    tracemalloc.start()
+    try:
+        terms = enum_family(Family.LINEAR, 6, 0)
+        assert isinstance(terms, Iterator)
+        first = list(islice(terms, 1000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(first) == 1000
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("family", list(Family))

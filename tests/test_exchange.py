@@ -152,6 +152,13 @@ class TestCountClasses:
                         assert len(orbit) == factorial(k)
                         assert orbit <= forms
 
+    def test_terms_table_matches_count_family(self):
+        for family in (Family.NEUTRAL, Family.NORMAL):
+            counts = count_classes(family, 4)
+            table = count_family(family, 4)
+            assert counts.terms.entries == table.entries
+            assert counts.terms.provenance == table.provenance == f"enum:{family.value}"
+
     def test_labeled_is_k_factorial_times_unlabeled(self):
         counts = count_classes(Family.NEUTRAL, 3)
         for (n, k), c in counts.labeled.entries.items():
