@@ -7,10 +7,27 @@ polynomial, under EGF the stored integer ``c[n][k]`` carries an implicit
 rationals ever appear).  Derivative in x is then an index shift in both
 flavors, and the EGF product is a binomial convolution.
 
+Row products are Kronecker substitutions.  A row c_0 .. c_d is packed into
+the one integer sum c_i 2^(wi), so the product of two packed rows is the
+packed product polynomial, and a sum of products is one sum of big
+integers, multiplied and added by CPython in C.  Packing is exact when
+every output coefficient fits its w-bit slot.  A coefficient of a sum of
+products of rows a and b is at most sum min(len a, len b) max|a| max|b| in
+magnitude, and w is chosen so that this bound is below 2^(w-1); adding
+2^(w-1) to every slot before unpacking then makes each slot a non-negative
+w-bit number, so negative coefficients unpack exactly as well.  An EGF row
+is first divided by i! term by term and put over its reduced common
+denominator D; the OGF product of two such rows is the EGF product divided
+by k! D_a D_b, so the kernel scales each product to one common
+denominator, unpacks, and multiplies back by k!, with no binomial
+coefficient anywhere.  The Taylor shift p(x) -> p(x + 1) evaluates p at
+2^w + 1 by Horner's rule, a shift and an add per step: p(2^w + 1) is the
+packed p(x + 1), whose coefficients are at most sum |c_k| 2^k.
+
 Seven families are solved order by order in z.  Equations whose right side
 contains a same-order derivative are triangular in the x-degree and fall to
-back-substitution from the top degree down.  Every solution is re-checked
-against its defining equation before being returned.
+back-substitution from the top degree down.  Every solution is re-checked,
+exactly, against its defining equation before being returned.
 """
 
 from __future__ import annotations
@@ -18,7 +35,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from math import comb
+from itertools import zip_longest
+from math import gcd, lcm
+from typing import NamedTuple
 
 
 class Flavor(Enum):
@@ -50,48 +69,99 @@ def _at(row: list[int], k: int) -> int:
     return row[k] if 0 <= k < len(row) else 0
 
 
-def _add_rows(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, v in enumerate(a):
-        out[i] += v
-    for i, v in enumerate(b):
-        out[i] += v
-    return out
+class _Form(NamedTuple):
+    """A row ready for the kernel: row[i] = nums[i] * i! / den under EGF, nums under OGF."""
+
+    nums: list[int]
+    den: int
+    bits: int  # every |nums[i]| < 2**bits
+    neg: bool  # some nums[i] < 0
 
 
-def _mul_rows_ogf(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
+def _form(row: list[int], egf: bool) -> _Form:
+    nums, den = row, 1
+    if egf:
+        fact = 1
+        for i, c in enumerate(row):
+            fact *= i or 1
+            den = lcm(den, fact // gcd(c, fact))
+        nums, fact = [], 1
+        for i, c in enumerate(row):
+            fact *= i or 1
+            nums.append(c * den // fact)
+    top = max(map(abs, nums), default=0)
+    return _Form(nums, den, top.bit_length(), bool(nums) and min(nums) < 0)
+
+
+def _join(nums: list[int], width: int) -> int:
+    return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in nums]), "little")
+
+
+def _pack(f: _Form, width: int) -> int:
+    """sum(f.nums[i] * 2**(8 * width * i)), for |f.nums[i]| < 2**(8 * width - 1)."""
+    if f.neg:
+        positive = _join([max(c, 0) for c in f.nums], width)
+        return positive - _join([max(-c, 0) for c in f.nums], width)
+    return _join(f.nums, width)
+
+
+def _unpack(packed: int, width: int, size: int) -> list[int]:
+    """Invert _pack for size slots, each holding less than 2**(8 * width - 1) in magnitude."""
+    # adding half a slot to every slot makes each one a non-negative byte string
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
+    data = memoryview((packed + offset).to_bytes(size * width, "little"))
+    return [
+        int.from_bytes(data[j : j + width], "little") - half
+        for j in range(0, size * width, width)
+    ]
+
+
+def _slot_width(bound: int) -> int:
+    """Bytes per slot so that every |coefficient| <= bound fits as a signed slot."""
+    return (bound.bit_length() + 8) // 8
+
+
+def _convolve(terms: list[tuple[int, _Form, _Form]], egf: bool) -> list[int]:
+    """The row sum of weight * a * b over the terms (weight, a, b), in the flavor's product."""
+    terms = [t for t in terms if t[1].nums and t[2].nums]
+    if not terms:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
+    den = lcm(*[a.den * b.den for _, a, b in terms]) if egf else 1
+    if den > 1:
+        terms = [(wt * den // (a.den * b.den), a, b) for wt, a, b in terms]
+    bound = size = 0
+    for wt, a, b in terms:
+        bound += wt * min(len(a.nums), len(b.nums)) << (a.bits + b.bits)
+        size = max(size, len(a.nums) + len(b.nums) - 1)
+    width = _slot_width(bound)
+    total = 0
+    for wt, a, b in terms:
+        packed = _pack(a, width)
+        total += wt * packed * (packed if b is a else _pack(b, width))
+    out = _unpack(total, width, size)
+    if egf:
+        fact = 1
+        for k in range(len(out)):
+            fact *= k or 1
+            out[k] = out[k] * fact // den
+    return _strip(out)
 
 
-def _mul_rows_egf(a: list[int], b: list[int]) -> list[int]:
-    # labeled product: c[k] = sum over i+j=k of C(k, i) a[i] b[j]
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += comb(i + j, i) * x * y
-    return out
+def _square_terms(forms: list[_Form], n: int, first: int = 0) -> list[tuple[int, _Form, _Form]]:
+    """Terms of the sum of row i times row n - i over first <= i <= n - first, pairs once."""
+    return [(1 if 2 * i == n else 2, forms[i], forms[n - i]) for i in range(first, n // 2 + 1)]
 
 
 def _taylor_shift_row(row: list[int]) -> list[int]:
-    # p(x) -> p(x + 1)
-    out = [0] * len(row)
-    for k, c in enumerate(row):
-        if c:
-            for j in range(k + 1):
-                out[j] += comb(k, j) * c
-    return out
+    # p(x) -> p(x + 1): p(2**w + 1) packs the shifted coefficients, which are
+    # bounded by sum |row[k]| 2**k; Horner's step at 2**w + 1 is a shift and an add
+    width = _slot_width(sum(abs(c) << k for k, c in enumerate(row)))
+    shift = 8 * width
+    packed = 0
+    for c in reversed(row):
+        packed = (packed << shift) + packed + c
+    return _unpack(packed, width, len(row))
 
 
 def _back_substitute(known: list[int], kmax: int) -> list[int]:
@@ -160,7 +230,12 @@ class BiSeries:
             raise ValueError("flavor mismatch")
         if self.trunc != other.trunc:
             raise ValueError("truncation mismatch")
-        return self._like([_add_rows(a, b) for a, b in zip(self.rows, other.rows)])
+        return self._like(
+            [
+                [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+                for a, b in zip(self.rows, other.rows)
+            ]
+        )
 
     __add__ = add
 
@@ -170,13 +245,17 @@ class BiSeries:
             raise ValueError("flavor mismatch")
         if self.trunc != other.trunc:
             raise ValueError("truncation mismatch")
-        row_mul = _mul_rows_egf if self.flavor is Flavor.EGF else _mul_rows_ogf
-        rows = []
-        for n in range(self.trunc + 1):
-            acc: list[int] = []
-            for i in range(n + 1):
-                acc = _add_rows(acc, row_mul(self.rows[i], other.rows[n - i]))
-            rows.append(acc)
+        egf = self.flavor is Flavor.EGF
+        left = [_form(row, egf) for row in self.rows]
+        if other is self:
+            # a square: each unordered pair of rows once
+            rows = [_convolve(_square_terms(left, n), egf) for n in range(len(left))]
+        else:
+            right = [_form(row, egf) for row in other.rows]
+            rows = [
+                _convolve([(1, left[i], right[n - i]) for i in range(n + 1)], egf)
+                for n in range(len(left))
+            ]
         return self._like(rows)
 
     __mul__ = mul
@@ -225,24 +304,24 @@ def _zx_series(trunc: int) -> BiSeries:
 def _rows_linear(trunc: int) -> list[list[int]]:
     # family of all linear terms: same-order derivative, so back-substitute
     rows: list[list[int]] = [[]]
+    forms = [_form([], True)]
     for n in range(1, trunc + 1):
-        known = [1 if k == 1 and n == 1 else 0 for k in range(2)]
-        for i in range(1, n):
-            known = _add_rows(known, _mul_rows_egf(rows[i], rows[n - i]))
+        known = [0, 1] if n == 1 else _convolve(_square_terms(forms, n, 1), True)
         rows.append(_back_substitute(known, n))
+        forms.append(_form(rows[n], True))
     return rows
 
 
 def _rows_neutral_normal(trunc: int, egf: bool) -> tuple[list[list[int]], list[list[int]]]:
-    row_mul = _mul_rows_egf if egf else _mul_rows_ogf
     b_rows: list[list[int]] = [[0, 1]]
     r_rows: list[list[int]] = [[]]
+    b_forms = [_form(b_rows[0], egf)]
+    r_forms = [_form(r_rows[0], egf)]
     for n in range(1, trunc + 1):
         r_rows.append(_back_substitute(b_rows[n - 1], n))
-        acc: list[int] = []
-        for i in range(n):
-            acc = _add_rows(acc, row_mul(b_rows[i], r_rows[n - i]))
-        b_rows.append(acc)
+        r_forms.append(_form(r_rows[n], egf))
+        b_rows.append(_convolve([(1, b_forms[i], r_forms[n - i]) for i in range(n)], egf))
+        b_forms.append(_form(b_rows[n], egf))
     return b_rows, r_rows
 
 
@@ -251,19 +330,24 @@ def _rows_quotient(trunc: int) -> tuple[list[list[int]], list[list[int]]]:
     # abstraction rule
     b_rows: list[list[int]] = [[0, 1]]
     r_rows: list[list[int]] = [[]]
+    b_forms = [_form(b_rows[0], False)]
+    r_forms = [_form(r_rows[0], False)]
     for n in range(1, trunc + 1):
         r_rows.append(_taylor_shift_row(b_rows[n - 1]))
-        acc: list[int] = []
-        for i in range(n):
-            acc = _add_rows(acc, _mul_rows_ogf(b_rows[i], r_rows[n - i]))
-        b_rows.append(acc)
-    # second route: the single self-referential equation B(z,x) = x + z B(z,x) B(z,x+1)
+        r_forms.append(_form(r_rows[n], False))
+        b_rows.append(_convolve([(1, b_forms[i], r_forms[n - i]) for i in range(n)], False))
+        b_forms.append(_form(b_rows[n], False))
+    # second route: the single self-referential equation B(z,x) = x + z B(z,x) B(z,x+1),
+    # built from its own rows, each shifted once
     alt: list[list[int]] = [[0, 1]]
+    alt_forms = [_form(alt[0], False)]
+    shifted_forms: list[_Form] = []
     for n in range(1, trunc + 1):
-        acc = []
-        for i in range(n):
-            acc = _add_rows(acc, _mul_rows_ogf(alt[i], _taylor_shift_row(alt[n - 1 - i])))
-        alt.append(acc)
+        shifted_forms.append(_form(_taylor_shift_row(alt[n - 1]), False))
+        alt.append(
+            _convolve([(1, alt_forms[i], shifted_forms[n - 1 - i]) for i in range(n)], False)
+        )
+        alt_forms.append(_form(alt[n], False))
     if [_strip(list(r)) for r in b_rows] != [_strip(list(r)) for r in alt]:
         raise ArithmeticError("quotient solver routes disagree")
     return b_rows, r_rows
@@ -290,9 +374,10 @@ def _verify_pair(b: BiSeries, r: BiSeries, egf: bool) -> None:
 
 
 def _verify_quotient(b: BiSeries, r: BiSeries) -> None:
-    if b != _x_series(Flavor.OGF, b.trunc).add(b.mul(b.taylor_shift()).z_shift()):
+    shifted = b.taylor_shift()
+    if b != _x_series(Flavor.OGF, b.trunc).add(b.mul(shifted).z_shift()):
         raise ArithmeticError("quotient solution fails its fixpoint equation")
-    if r != b.taylor_shift().z_shift():
+    if r != shifted.z_shift():
         raise ArithmeticError("quotient abstraction rule fails")
     # closed normal classes match the shifted row sums of the neutral classes
     evaluated = b.eval_x(1)

@@ -1,5 +1,11 @@
+import hashlib
+import random
+from itertools import zip_longest
+from math import comb, factorial
+
 import pytest
 
+from linlam import series
 from linlam.series import BiSeries, FamilyName, Flavor, solution_to_csv, solve
 
 # Hand-iterated coefficient rows, frozen as oracles.  Row n lists the
@@ -161,3 +167,234 @@ def test_csv_export():
     lines = solution_to_csv(solve(FamilyName.QB, 2)).strip().splitlines()
     assert lines[0] == "family,n,k,coeff"
     assert "QB,2,2,5" in lines
+
+
+# ---------------------------------------------------------------------------
+# The schoolbook row arithmetic the packed kernel replaced, kept as oracles
+
+
+def schoolbook_ogf(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def schoolbook_egf(a, b):
+    # labeled product: c[k] = sum over i+j=k of C(k, i) a[i] b[j]
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += comb(i + j, i) * x * y
+    return out
+
+
+def comb_taylor_shift(row):
+    # p(x) -> p(x + 1)
+    out = [0] * len(row)
+    for k, c in enumerate(row):
+        for j in range(k + 1):
+            out[j] += comb(k, j) * c
+    return out
+
+
+def add(a, b):
+    return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+
+
+def stripped(row):
+    row = list(row)
+    while row and row[-1] == 0:
+        row.pop()
+    return row
+
+
+def random_row(rng, length):
+    # signed coefficients of up to ~2,000 bits, with plenty of zeros; the top
+    # coefficient is left as drawn, so some rows carry trailing zeros
+    bits = rng.choice([1, 8, 64, 500, 2000])
+    return [
+        0 if rng.random() < 0.3 else rng.choice([1, 1, -1]) * rng.getrandbits(rng.randint(1, bits))
+        for _ in range(length)
+    ]
+
+
+FLAVORS = [(Flavor.OGF, schoolbook_ogf), (Flavor.EGF, schoolbook_egf)]
+EDGE_ROWS = [[], [0], [0, 0, 0], [1], [-1], [0, -3], [5, 0, 0, -7, 0]]
+
+
+class TestPackedKernel:
+    @pytest.mark.parametrize("flavor,oracle", FLAVORS)
+    def test_row_product_matches_schoolbook(self, flavor, oracle):
+        rng = random.Random(2024)
+        egf = flavor is Flavor.EGF
+        pairs = [(a, b) for a in EDGE_ROWS for b in EDGE_ROWS]
+        pairs += [(random_row(rng, n), random_row(rng, rng.randint(0, 80))) for n in range(1, 81)]
+        for a, b in pairs:
+            got = series._convolve([(1, series._form(a, egf), series._form(b, egf))], egf)
+            assert got == stripped(oracle(a, b)), (a, b)
+
+    @pytest.mark.parametrize("flavor,oracle", FLAVORS)
+    def test_series_product_matches_schoolbook(self, flavor, oracle):
+        rng = random.Random(7)
+        trunc = 5
+        for _ in range(4):
+            a, b = (
+                BiSeries(flavor, [random_row(rng, rng.randint(0, 40)) for _ in range(trunc + 1)])
+                for _ in range(2)
+            )
+            # a square takes each unordered pair of rows once, weight 2 off the diagonal
+            for left, right in ((a, b), (a, a)):
+                want = []
+                for n in range(trunc + 1):
+                    acc = []
+                    for i in range(n + 1):
+                        acc = add(acc, oracle(left.row(i), right.row(n - i)))
+                    want.append(stripped(acc))
+                assert left.mul(right).rows == want
+
+    def test_taylor_shift_matches_comb(self):
+        rng = random.Random(99)
+        for row in EDGE_ROWS + [random_row(rng, n) for n in range(1, 81)]:
+            assert series._taylor_shift_row(row) == comb_taylor_shift(row), row
+            shifted = BiSeries(Flavor.OGF, [row]).taylor_shift()
+            assert shifted.row(0) == stripped(comb_taylor_shift(row))
+
+
+# ---------------------------------------------------------------------------
+# The equation checks inside solve reject a wrong table
+
+
+def bump(rows, n=20):
+    rows[n][len(rows[n]) // 2] += 1
+
+
+class TestEquationChecksAreLive:
+    def test_linear(self, monkeypatch):
+        real = series._rows_linear
+
+        def wrong(trunc):
+            rows = real(trunc)
+            bump(rows)
+            return rows
+
+        monkeypatch.setattr(series, "_rows_linear", wrong)
+        with pytest.raises(ArithmeticError, match="linear family"):
+            solve(FamilyName.L, 24)
+
+    @pytest.mark.parametrize("which", [FamilyName.LB, FamilyName.LR, FamilyName.PB, FamilyName.PR])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_pair(self, monkeypatch, which, side):
+        real = series._rows_neutral_normal
+
+        def wrong(trunc, egf):
+            pair = real(trunc, egf)
+            bump(pair[side])
+            return pair
+
+        monkeypatch.setattr(series, "_rows_neutral_normal", wrong)
+        with pytest.raises(ArithmeticError, match="family solution fails its equation"):
+            solve(which, 24)
+
+    @pytest.mark.parametrize("which", [FamilyName.QB, FamilyName.QR])
+    def test_quotient_routes(self, monkeypatch, which):
+        # corrupt the first shift of a degree-20 row only: route 1 makes it
+        # (r_20 from b_19), and route 2 shifts its own copy later
+        real = series._taylor_shift_row
+        seen = []
+
+        def wrong(row):
+            out = real(row)
+            if len(row) == 21 and not seen:
+                seen.append(row)
+                out[3] += 1
+            return out
+
+        monkeypatch.setattr(series, "_taylor_shift_row", wrong)
+        with pytest.raises(ArithmeticError, match="routes disagree"):
+            solve(which, 24)
+        assert seen
+
+    @pytest.mark.parametrize(
+        "side,message", [(0, "fixpoint equation"), (1, "abstraction rule")]
+    )
+    def test_quotient_fixpoint(self, monkeypatch, side, message):
+        real = series._rows_quotient
+
+        def wrong(trunc):
+            pair = real(trunc)
+            bump(pair[side])
+            return pair
+
+        monkeypatch.setattr(series, "_rows_quotient", wrong)
+        with pytest.raises(ArithmeticError, match=message):
+            solve(FamilyName.QB, 24)
+
+
+# ---------------------------------------------------------------------------
+# Deep tables, pinned against recurrences independent of the solver
+
+
+def a062980(count):
+    """Rooted trivalent maps; a(n) = (6n-2) a(n-1) + sum a(k) a(n-1-k)."""
+    a = [1]
+    while len(a) < count:
+        n = len(a)
+        a.append((6 * n - 2) * a[n - 1] + sum(a[k] * a[n - 1 - k] for k in range(n)))
+    return a
+
+
+def a000168(count):
+    """Rooted planar maps with n edges: 2 3^n (2n)! / (n! (n+2)!)."""
+    return [2 * 3**n * factorial(2 * n) // (factorial(n) * factorial(n + 2)) for n in range(count)]
+
+
+def a000698(count):
+    """a(n) = (2n-1)!! - sum_{k=1}^{n-1} (2k-1)!! a(n-k), with a(0) = 1."""
+    double = [factorial(2 * n) // (2**n * factorial(n)) for n in range(count)]
+    a = [1]
+    while len(a) < count:
+        n = len(a)
+        a.append(double[n] - sum(double[k] * a[n - k] for k in range(1, n)))
+    return a
+
+
+DEEP = 70
+
+
+DEEP_CLOSED = {
+    # closed linear terms of size n are rooted trivalent maps, A062980(n - 1)
+    FamilyName.L: lambda: a062980(DEEP),
+    # closed planar normal terms of size n are rooted planar maps, A000168(n - 1)
+    FamilyName.PR: lambda: a000168(DEEP),
+    # closed normal exchange classes of size n are rooted maps, A000698(n)
+    FamilyName.QR: lambda: a000698(DEEP + 1)[1:],
+}
+
+
+@pytest.mark.parametrize("which", list(DEEP_CLOSED))
+def test_deep_closed_column(which):
+    assert solve(which, DEEP).series.closed_sequence(1, DEEP) == DEEP_CLOSED[which]()
+
+
+# sha256 of solution_to_csv(solve(family, 40)), recorded with the schoolbook solver
+CSV_SHA256_AT_40 = {
+    FamilyName.L: "197531910463bb26c9426ec1d2643e730820f01a327eff53fc821425a4e89e72",
+    FamilyName.LB: "f81e7dc8d948767452892d860056d989072c683a68fd37b5d3092a580efd62a5",
+    FamilyName.LR: "a83a4a21b30468989e6056cc64c3af0af076541ec22e1b8df6cf7d8aa077f591",
+    FamilyName.PB: "92a70ef7d0ccf06214fc73e6f3e6245c8f22288eccf5efea94eaf9d2b08e0e44",
+    FamilyName.PR: "fe4170f6cec4ecc62c6e917d9b2adb1fb83940330c8725178ef9f1df1e8f63af",
+    FamilyName.QB: "b7fdf9abe971d4e65f5d4c8ac8981388ff5464c57ff2d161404ddb2c28eec3ea",
+    FamilyName.QR: "8b3c1f34640b97e36c38f04ad865dd85661785e84456a22fe80fdd6187deeb23",
+}
+
+
+@pytest.mark.parametrize("which", list(FamilyName))
+def test_table_at_40_is_pinned(which):
+    text = solution_to_csv(solve(which, 40))
+    assert hashlib.sha256(text.encode()).hexdigest() == CSV_SHA256_AT_40[which]
