@@ -6,7 +6,7 @@ the matching generating-function equations exactly, and independently
 counts rooted maps on oriented surfaces so the censuses can be compared.
 """
 
-from .enumeration import CountTable, Family, count_family, enum_family
+from .enumeration import CountTable, Family, class_cells, count_family, enum_family
 from .exchange import (
     ClassCounts,
     canonicalize,
@@ -58,6 +58,7 @@ __all__ = [
     "canonicalize",
     "census",
     "check_linear",
+    "class_cells",
     "class_groups",
     "classify",
     "count_classes",

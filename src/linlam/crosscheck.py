@@ -251,6 +251,45 @@ def _check_reference_grouping(report: CrossCheckReport) -> None:
     )
 
 
+def _class_construction_problem(top: int) -> str | None:
+    # the first cell where construction and deduplication disagree, if any
+    for family in (Family.NEUTRAL, Family.NORMAL):
+        for n, k, cell in enumeration.class_cells(family, top):
+            if n < 1:
+                continue
+            built = list(cell)
+            distinct = set(built)
+            leaders = {group[0] for group in exchange.class_groups(family, n, k)}
+            where = f"{family.value} (n={n}, k={k})"
+            if len(distinct) != len(built):
+                return f"{where}: a representative was constructed twice"
+            if len(distinct) != len(leaders):
+                return f"{where}: {len(distinct)} constructed != {len(leaders)} by dedup"
+            if distinct != leaders:
+                return f"{where}: constructed and dedup representatives differ"
+    return None
+
+
+def _check_class_construction(report: CrossCheckReport, enum_cap: int) -> None:
+    """Constructed class representatives against canonical-form deduplication.
+
+    In every cell of sizes 1..min(enum_cap, 3) of both class families, the
+    class grammar must build each representative once, and build exactly the
+    leaders of the groups that class_groups finds by deduplication.
+    """
+    top = min(enum_cap, 3)
+    problem = _class_construction_problem(top) if top >= 1 else "compared nothing"
+    report.checks.append(
+        CheckResult(
+            "classes:construction-vs-dedup",
+            "class grammar vs canonical dedup",
+            f"sizes 1..{top}",
+            problem is None,
+            problem,
+        )
+    )
+
+
 def run_crosscheck(
     max_n: int = 5,
     *,
@@ -274,22 +313,17 @@ def run_crosscheck(
 
     _check_reference_terms(report, enum_n)
     _check_reference_grouping(report)
+    _check_class_construction(report, enum_n)
 
     solutions = {name: series.solve(name, trunc).series for name in FamilyName}
 
-    # one pass over each class family counts its terms and its classes
     neutral_classes = exchange.count_classes(Family.NEUTRAL, enum_n)
     normal_classes = exchange.count_classes(Family.NORMAL, enum_n)
 
     # enumeration against the series coefficients, bivariately
-    enum_tables: dict[Family, CountTable] = {
-        Family.NEUTRAL: neutral_classes.terms,
-        Family.NORMAL: normal_classes.terms,
-    }
+    enum_tables: dict[Family, CountTable] = {}
     for family, which in _FAMILY_SERIES.items():
-        if family not in enum_tables:
-            enum_tables[family] = enumeration.count_family(family, enum_n)
-        table = enum_tables[family]
+        table = enum_tables[family] = enumeration.count_family(family, enum_n)
         sol = solutions[which]
         report.checks.append(
             _compare_cells(

@@ -6,6 +6,11 @@ adjacent swaps generate the full symmetric group there.  The canonical
 representative therefore sorts every run so the binders occur in
 left-to-right depth-first order of the body, outermost binder first; two
 terms are isomorphic exactly when their canonical forms coincide.
+
+Classes are counted from their canonical forms alone, which the class
+grammar in linlam.enumeration builds directly (class_cells).  Listing the
+members of each class still deduplicates a cell's terms by canonical form
+(class_groups), and the crosscheck compares the two.
 """
 
 from __future__ import annotations
@@ -100,46 +105,38 @@ _CLASS_FAMILIES = (Family.NEUTRAL, Family.NORMAL)
 class ClassCounts:
     """Exchange-class censuses with labeled and unlabeled free variables.
 
-    The labeled table counts distinct canonical forms per (size, context)
-    cell; relabeling the k context positions acts freely on classes, so the
-    unlabeled table is the labeled one divided by k!.  The terms table
-    counts the terms whose canonical forms were collected, from the same
-    pass.
+    The labeled table counts the exchange classes, that is the distinct
+    canonical forms, per (size, context) cell; relabeling the k context
+    positions acts freely on classes, so the unlabeled table is the labeled
+    one divided by k!.
     """
 
     family: Family
     labeled: CountTable
     unlabeled: CountTable
-    terms: CountTable
 
 
 def count_classes(family: Family, max_n: int) -> ClassCounts:
-    """Count terms and exchange classes of a family in one enumeration pass.
+    """Count the exchange classes of the neutral or normal family, n <= max_n.
 
-    Each cell's terms are counted and deduplicated by canonical form as they
-    stream past.
+    Each class is counted once, by streaming the canonical representatives
+    that enumeration.class_cells constructs; no other class member is
+    generated and nothing is canonicalized.
     """
-    if family not in _CLASS_FAMILIES:
-        raise ValueError("class censuses cover the neutral and normal families")
-    terms = CountTable(max_n=max_n, provenance=f"enum:{family.value}")
     labeled = CountTable(max_n=max_n, provenance=f"classes:{family.value}")
     unlabeled = CountTable(max_n=max_n, provenance=f"classes:{family.value}:unlabeled")
-    for n, k, cell in enumeration.enum_cells(family, max_n):
-        count, forms = 0, set()
-        for t in cell:
-            count += 1
-            forms.add(canonicalize(t))
+    for n, k, cell in enumeration.class_cells(family, max_n):
+        count = sum(1 for _ in cell)
         if not count:
             continue
-        terms.entries[(n, k)] = count
-        labeled.entries[(n, k)] = len(forms)
-        q, rem = divmod(len(forms), factorial(k))
+        labeled.entries[(n, k)] = count
+        q, rem = divmod(count, factorial(k))
         if rem:
             raise ArithmeticError(
                 f"class count at ({n}, {k}) is not divisible by {k}!"
             )
         unlabeled.entries[(n, k)] = q
-    return ClassCounts(family, labeled, unlabeled, terms)
+    return ClassCounts(family, labeled, unlabeled)
 
 
 def class_groups(family: Family, n: int, k: int = 0) -> list[list[Term]]:

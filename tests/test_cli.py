@@ -237,6 +237,7 @@ class TestCrosscheck:
             "classes-vs-series:normal-closed",
             "series-vs-census:bivariate",
             "classes-vs-census:bivariate",
+            "classes:construction-vs-dedup",
             "maps:euler-parity",
             "maps:distinct-codes",
             "references:enum-linear",
@@ -271,6 +272,39 @@ class TestCrosscheck:
         for family in (enumeration.Family.NEUTRAL, enumeration.Family.NORMAL):
             got = [(n, k) for f, n, k in cells if f is family]
             assert got == [(n, k) for n in range(4) for k in range(n + 2)]
+
+    @pytest.mark.parametrize(
+        "family,n,k,edit,divergence",
+        [
+            (
+                enumeration.Family.NORMAL, 3, 0, lambda reps: reps[1:],
+                "normal (n=3, k=0): 9 constructed != 10 by dedup",
+            ),
+            (
+                enumeration.Family.NEUTRAL, 1, 1, lambda reps: reps[1:],
+                "neutral (n=1, k=1): 0 constructed != 1 by dedup",
+            ),
+            (
+                enumeration.Family.NEUTRAL, 2, 1, lambda reps: reps + reps[:1],
+                "neutral (n=2, k=1): a representative was constructed twice",
+            ),
+        ],
+    )
+    def test_class_construction_row_is_live(self, monkeypatch, family, n, k, edit, divergence):
+        def row(report):
+            return next(c for c in report.checks if c.name == "classes:construction-vs-dedup")
+
+        assert row(run_crosscheck(3)).ok
+        original = enumeration.class_cells
+
+        def tampered(f, max_n):
+            for m, j, cell in original(f, max_n):
+                yield m, j, iter(edit(list(cell))) if (f, m, j) == (family, n, k) else cell
+
+        monkeypatch.setattr(enumeration, "class_cells", tampered)
+        bad = row(run_crosscheck(3))
+        assert not bad.ok
+        assert bad.divergence == divergence
 
     def test_each_map_census_generated_once(self, monkeypatch):
         calls = []

@@ -3,7 +3,8 @@ from math import factorial
 
 import pytest
 
-from linlam.enumeration import Family, count_family, enum_family
+from linlam import exchange
+from linlam.enumeration import Family, class_cells, count_family, enum_family
 from linlam.exchange import (
     canonicalize,
     class_groups,
@@ -152,12 +153,18 @@ class TestCountClasses:
                         assert len(orbit) == factorial(k)
                         assert orbit <= forms
 
-    def test_terms_table_matches_count_family(self):
-        for family in (Family.NEUTRAL, Family.NORMAL):
-            counts = count_classes(family, 4)
-            table = count_family(family, 4)
-            assert counts.terms.entries == table.entries
-            assert counts.terms.provenance == table.provenance == f"enum:{family.value}"
+    def test_counts_without_canonicalizing(self, monkeypatch):
+        calls = []
+        original = exchange.canonicalize
+
+        def spy(t):
+            calls.append(t)
+            return original(t)
+
+        monkeypatch.setattr(exchange, "canonicalize", spy)
+        assert count_classes(Family.NORMAL, 4).labeled.closed_sequence(1, 4) == [1, 2, 10, 74]
+        assert count_classes(Family.NEUTRAL, 3).unlabeled.row(3) == [0, 15, 32, 22, 5]
+        assert calls == []
 
     def test_labeled_is_k_factorial_times_unlabeled(self):
         counts = count_classes(Family.NEUTRAL, 3)
@@ -176,3 +183,39 @@ class TestClassGroups:
                 rep = group[0]
                 assert canonicalize(rep) == rep
                 assert all(canonicalize(t) == rep for t in group)
+
+
+def a000698(count):
+    """a(n) = (2n-1)!! - sum_{k=1}^{n-1} (2k-1)!! a(n-k), with a(0) = 1."""
+    double = [factorial(2 * n) // (2**n * factorial(n)) for n in range(count)]
+    a = [1]
+    while len(a) < count:
+        n = len(a)
+        a.append(double[n] - sum(double[k] * a[n - k] for k in range(1, n)))
+    return a
+
+
+class TestClassConstruction:
+    @pytest.mark.parametrize("family,max_n", [(Family.NEUTRAL, 4), (Family.NORMAL, 5)])
+    def test_representatives_are_the_dedup_forms(self, family, max_n):
+        seen = 0
+        for n, k, cell in class_cells(family, max_n):
+            built = list(cell)
+            assert len(set(built)) == len(built), (n, k)
+            assert all(canonicalize(t) == t for t in built), (n, k)
+            forms = {canonicalize(t) for t in enum_family(family, n, k)}
+            assert set(built) == forms, (n, k)
+            seen += 1
+        assert seen == sum(n + 2 for n in range(max_n + 1))
+
+    def test_only_neutral_and_normal_supported(self):
+        for family in (Family.LINEAR, Family.PLANAR_NORMAL):
+            with pytest.raises(ValueError):
+                class_cells(family, 2)
+
+    def test_closed_normal_classes_reach_size_7(self):
+        # the paper's sequence past the reach of deduplication
+        want = a000698(8)[1:]
+        assert want == [1, 2, 10, 74, 706, 8162, 110410]
+        got = [sum(1 for _ in cell) for n, k, cell in class_cells(Family.NORMAL, 7) if n and not k]
+        assert got == want
