@@ -7,22 +7,46 @@ polynomial, under EGF the stored integer ``c[n][k]`` carries an implicit
 rationals ever appear).  Derivative in x is then an index shift in both
 flavors, and the EGF product is a binomial convolution.
 
-Row products are Kronecker substitutions.  A row c_0 .. c_d is packed into
-the one integer sum c_i 2^(wi), so the product of two packed rows is the
-packed product polynomial, and a sum of products is one sum of big
-integers, multiplied and added by CPython in C.  Packing is exact when
-every output coefficient fits its w-bit slot.  A coefficient of a sum of
-products of rows a and b is at most sum min(len a, len b) max|a| max|b| in
-magnitude, and w is chosen so that this bound is below 2^(w-1); adding
-2^(w-1) to every slot before unpacking then makes each slot a non-negative
-w-bit number, so negative coefficients unpack exactly as well.  An EGF row
-is first divided by i! term by term and put over its reduced common
-denominator D; the OGF product of two such rows is the EGF product divided
-by k! D_a D_b, so the kernel scales each product to one common
-denominator, unpacks, and multiplies back by k!, with no binomial
-coefficient anywhere.  The Taylor shift p(x) -> p(x + 1) evaluates p at
-2^w + 1 by Horner's rule, a shift and an add per step: p(2^w + 1) is the
-packed p(x + 1), whose coefficients are at most sum |c_k| 2^k.
+Row products are Kronecker substitutions at four points, +X, -X, +1/X and
+-1/X (Harvey's KS4).  A coefficient of a sum of weighted products of rows
+a and b is at most B = sum weight min(len a, len b) 2^(bits a + bits b) in
+magnitude, and the kernel picks X = 2^(8q), for an even byte count q, with
+B < X^4 / 4.  Each row a of length l is evaluated at +X and -X, and so is
+its reversal x^(l-1) a(1/x); an evaluation adds the row's four classes of
+coefficients mod 4, each packed in 4q-byte slots, so it is about a quarter
+as long as the row packed in slots that fit the output.  The kernel sums
+the weighted products of the evaluations, P at +X, M at -X, and P' and M'
+for the reversals, each reversed product first multiplied by (+X or -X)
+to the power its length falls short of the output's.  With Y = X^2,
+(P + M) / 2 is sum c_(2j) Y^j and (P - M) / 2X is sum c_(2j+1) Y^j over
+the output coefficients c, and both divisions are exact shifts; P' and M'
+give the same two sums with the coefficients in reverse order.  Slots of
+Y overlap, since a coefficient may take up to 4q bytes, and each sequence
+d_0 .. d_(n-1) is recovered from its two sums walking up from d_0: the
+bottom of the forward sum, less the carry of the d_i already found, gives
+d_j mod Y, and the top of the reversed sum, less those d_i, gives d_j plus
+d_(j+1) / Y + d_(j+2) / Y^2 + ..., which is below Y / 4 + 2 in magnitude
+because every |d_i| < Y^2 / 4.  The residue fixes d_j within that window.
+Four products of quarter-length operands replace one product of
+full-length ones, about 4/9 of the work under Karatsuba.
+
+A row's kernel form keeps its four evaluations and the q they were packed
+for, and repacks only when a product asks for another X; q is even, so
+neighbouring rows share X and a solver packs each row about once per X.
+The evaluations live and die with the form: a solver's forms last for its
+solve, and each product of two series (so each equation check) builds its
+own.
+
+An EGF row is first divided by i! term by term and put over its reduced
+common denominator D; the OGF product of two such rows is the EGF product
+divided by k! D_a D_b, so the kernel scales each product to one common
+denominator, recovers the coefficients, and multiplies back by k!, with no
+binomial coefficient anywhere.
+
+The Taylor shift p(x) -> p(x + 1) evaluates p at 2^w + 1 by Horner's rule,
+a shift and an add per step, for a slot width w that fits the shifted
+coefficients, which are at most sum |c_k| 2^k: p(2^w + 1) is then p(x + 1)
+packed in w-bit slots.
 
 Seven families are solved order by order in z.  Equations whose right side
 contains a same-order derivative are triangular in the x-degree and fall to
@@ -37,7 +61,6 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import zip_longest
 from math import gcd, lcm
-from typing import NamedTuple
 
 
 class Flavor(Enum):
@@ -69,13 +92,22 @@ def _at(row: list[int], k: int) -> int:
     return row[k] if 0 <= k < len(row) else 0
 
 
-class _Form(NamedTuple):
-    """A row ready for the kernel: row[i] = nums[i] * i! / den under EGF, nums under OGF."""
+class _Form:
+    """A row ready for the kernel: row[i] = nums[i] * i! / den under EGF, nums under OGF.
 
-    nums: list[int]
-    den: int
-    bits: int  # every |nums[i]| < 2**bits
-    neg: bool  # some nums[i] < 0
+    The form also keeps its last packing: the byte count q of the point
+    X = 2**(8 * q), and the row and its reversal evaluated at +X and -X.
+    """
+
+    __slots__ = ("nums", "den", "bits", "neg", "q", "evals")
+
+    def __init__(self, nums: list[int], den: int) -> None:
+        self.nums = nums
+        self.den = den
+        self.bits = max(map(abs, nums), default=0).bit_length()  # every |nums[i]| < 2**bits
+        self.neg = bool(nums) and min(nums) < 0
+        self.q = 0
+        self.evals: tuple[int, ...] = ()
 
 
 def _form(row: list[int], egf: bool) -> _Form:
@@ -89,32 +121,68 @@ def _form(row: list[int], egf: bool) -> _Form:
         for i, c in enumerate(row):
             fact *= i or 1
             nums.append(c * den // fact)
-    top = max(map(abs, nums), default=0)
-    return _Form(nums, den, top.bit_length(), bool(nums) and min(nums) < 0)
+    return _Form(nums, den)
 
 
-def _join(nums: list[int], width: int) -> int:
-    return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in nums]), "little")
-
-
-def _pack(f: _Form, width: int) -> int:
-    """sum(f.nums[i] * 2**(8 * width * i)), for |f.nums[i]| < 2**(8 * width - 1)."""
+def _pack_form(f: _Form, q: int) -> None:
+    """Store f and its reversal evaluated at +X and -X, X = 2**(8 * q), for |nums[i]| < X**4."""
+    width, shift = 4 * q, 8 * q
     if f.neg:
-        positive = _join([max(c, 0) for c in f.nums], width)
-        return positive - _join([max(-c, 0) for c in f.nums], width)
-    return _join(f.nums, width)
+        pos = [max(c, 0).to_bytes(width, "little") for c in f.nums]
+        neg = [max(-c, 0).to_bytes(width, "little") for c in f.nums]
+    else:
+        pos, neg = [c.to_bytes(width, "little") for c in f.nums], []
+    evals = []
+    for p, n in ((pos, neg), (pos[::-1], neg[::-1])):
+        # the coefficients i = j mod 4, packed in 4q-byte slots, are a polynomial in X**4
+        parts = [int.from_bytes(b"".join(p[j::4]), "little") for j in range(4)]
+        if n:
+            for j in range(4):
+                parts[j] -= int.from_bytes(b"".join(n[j::4]), "little")
+        even = parts[0] + (parts[2] << 2 * shift)
+        odd = (parts[1] << shift) + (parts[3] << 3 * shift)
+        evals += [even + odd, even - odd]
+    f.q = q
+    f.evals = tuple(evals)
+
+
+def _digits(value: int, width: int, count: int) -> list[int]:
+    """The count low base-2**(8 * width) digits of value, non-negative."""
+    data = (value & ((1 << 8 * width * count) - 1)).to_bytes(width * count, "little")
+    return [int.from_bytes(data[i : i + width], "little") for i in range(0, width * count, width)]
 
 
 def _unpack(packed: int, width: int, size: int) -> list[int]:
-    """Invert _pack for size slots, each holding less than 2**(8 * width - 1) in magnitude."""
-    # adding half a slot to every slot makes each one a non-negative byte string
+    """c_0 .. c_(size-1) from sum c_i 2**(8 * width * i), for |c_i| < 2**(8 * width - 1)."""
+    # adding half a slot to every slot makes each one a non-negative digit
     half = 1 << (8 * width - 1)
     offset = int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
-    data = memoryview((packed + offset).to_bytes(size * width, "little"))
-    return [
-        int.from_bytes(data[j : j + width], "little") - half
-        for j in range(0, size * width, width)
-    ]
+    return [d - half for d in _digits(packed + offset, width, size)]
+
+
+def _recover(low: int, high: int, count: int, width: int) -> list[int]:
+    """d_0 .. d_(count-1) from sum d_j Y**j and sum d_(count-1-j) Y**j, Y = 2**(8 * width).
+
+    Exact for |d_j| < Y**2 / 4: walking up from j = 0, the bottom of the first
+    sum gives d_j mod Y, and the top of the second gives d_j plus an error
+    below Y / 4 + 2 in magnitude, once the d_i already found are taken out.
+    """
+    if not count:
+        return []
+    bits = 8 * width
+    y, half = 1 << bits, 1 << (bits - 1)
+    carry = 0  # (low mod Y**j - sum_(i<j) d_i Y**i) / Y**j
+    top = high >> bits * (count - 1)  # floor(high / Y**(count-1-j)) - sum_(i<j) d_i Y**(j-i)
+    tops = _digits(high, width, count - 1)[::-1] + [0]
+    out = []
+    for digit, next_top in zip(_digits(low, width, count), tops):
+        residue = digit + carry
+        error = (top - residue) & (y - 1)
+        d = top - error + (y if error >= half else 0)
+        out.append(d)
+        carry = (residue - d) >> bits
+        top = next_top + ((top - d) << bits)
+    return out
 
 
 def _slot_width(bound: int) -> int:
@@ -134,12 +202,34 @@ def _convolve(terms: list[tuple[int, _Form, _Form]], egf: bool) -> list[int]:
     for wt, a, b in terms:
         bound += wt * min(len(a.nums), len(b.nums)) << (a.bits + b.bits)
         size = max(size, len(a.nums) + len(b.nums) - 1)
-    width = _slot_width(bound)
-    total = 0
+    # X = 2**(8 * q) with every |coefficient| < X**4 / 4, and q even so that
+    # neighbouring rows share a point and keep their evaluations
+    q = -(-(bound.bit_length() + 2) // 64) * 2
+    shift = 8 * q
+    plus = minus = rev_plus = rev_minus = 0
     for wt, a, b in terms:
-        packed = _pack(a, width)
-        total += wt * packed * (packed if b is a else _pack(b, width))
-    out = _unpack(total, width, size)
+        if a.q != q:
+            _pack_form(a, q)
+        if b.q != q:
+            _pack_form(b, q)
+        # for a square (b is a) each product has one integer twice, which CPython squares
+        a_plus, a_minus, a_rev_plus, a_rev_minus = a.evals
+        b_plus, b_minus, b_rev_plus, b_rev_minus = b.evals
+        plus += wt * (a_plus * b_plus)
+        minus += wt * (a_minus * b_minus)
+        # the reversal of a b as a row of size coefficients is x**gap rev(a) rev(b)
+        gap = size + 1 - len(a.nums) - len(b.nums)
+        rev_plus += wt * (a_rev_plus * b_rev_plus) << shift * gap
+        rev = wt * (a_rev_minus * b_rev_minus) << shift * gap
+        rev_minus += -rev if gap & 1 else rev
+    evens, odds = (plus + minus) >> 1, (plus - minus) >> (shift + 1)
+    rev_evens, rev_odds = (rev_plus + rev_minus) >> 1, (rev_plus - rev_minus) >> (shift + 1)
+    if size % 2 == 0:
+        # reversing an even number of coefficients swaps even and odd places
+        rev_evens, rev_odds = rev_odds, rev_evens
+    out = [0] * size
+    out[::2] = _recover(evens, rev_evens, (size + 1) // 2, 2 * q)
+    out[1::2] = _recover(odds, rev_odds, size // 2, 2 * q)
     if egf:
         fact = 1
         for k in range(len(out)):

@@ -162,6 +162,17 @@ class TestInvariants:
         zx = BiSeries(Flavor.EGF, [[], [0, 1]], trunc=6)
         assert L == zx.add(L.mul(L)).add(L.d_dx())
 
+    @pytest.mark.parametrize("which", [FamilyName.L, FamilyName.LB, FamilyName.LR])
+    def test_egf_counts_divisible_by_free_relabelings(self, which):
+        # the k! relabelings of k free variables act freely on labeled terms,
+        # so row[k] counts k! copies of each unlabeled term; the packed kernel
+        # therefore sees EGF forms with denominator 1
+        s = solve(which, 40).series
+        for n in range(41):
+            row = s.row(n)
+            assert all(c % factorial(k) == 0 for k, c in enumerate(row)), n
+            assert series._form(row, True).den == 1
+
 
 def test_csv_export():
     lines = solution_to_csv(solve(FamilyName.QB, 2)).strip().splitlines()
@@ -257,6 +268,102 @@ class TestPackedKernel:
                         acc = add(acc, oracle(left.row(i), right.row(n - i)))
                     want.append(stripped(acc))
                 assert left.mul(right).rows == want
+
+    @pytest.mark.parametrize("flavor,oracle", FLAVORS)
+    def test_weighted_sums_match_schoolbook(self, flavor, oracle):
+        # mixed lengths, signed entries of up to ~2,000 bits, and squares,
+        # whose two factors are one form; output lengths 1 and 2 included
+        rng = random.Random(31)
+        egf = flavor is Flavor.EGF
+        cases = [[(1, [3], [-5])], [(2, [7], [1, -4])], [(1, [-2], [-2]), (3, [9], [0, 8])]]
+        for _ in range(120):
+            lengths = [(rng.randint(1, 40), rng.randint(1, 40)) for _ in range(rng.randint(1, 6))]
+            cases.append(
+                [(rng.randint(1, 5), random_row(rng, m), random_row(rng, n)) for m, n in lengths]
+            )
+        cases += [[(wt, a, a) for wt, a, _ in case] for case in cases[::3]]
+        sizes = set()
+        for case in cases:
+            terms = []
+            want = []
+            for wt, a, b in case:
+                fa = series._form(a, egf)
+                terms.append((wt, fa, fa if b is a else series._form(b, egf)))
+                want = add(want, [wt * c for c in oracle(a, b)])
+            sizes.add(len(want))
+            assert series._convolve(terms, egf) == stripped(want), case
+        assert {1, 2} <= sizes and any(n % 2 for n in sizes) and any(n % 2 == 0 for n in sizes)
+
+    @pytest.mark.parametrize("flavor,oracle", FLAVORS)
+    def test_coefficients_that_fill_the_bound(self, flavor, oracle):
+        # rows of equal-magnitude entries make the middle output coefficient
+        # n (2**bits - 1)**2, just under the bound n 2**(2 bits) that sets the
+        # point X; sweeping bits puts that bound at every offset within X's rounding
+        egf = flavor is Flavor.EGF
+        for n in (1, 2, 3, 8, 33):
+            for bits in range(1, 140):
+                top = (1 << bits) - 1
+                for a, b in (([top] * n, [top] * n), ([top] * n, [-top] * n)):
+                    if egf:
+                        # entries i! top, so the kernel form holds top itself
+                        a = [c * factorial(i) for i, c in enumerate(a)]
+                        b = [c * factorial(i) for i, c in enumerate(b)]
+                    got = series._convolve([(1, series._form(a, egf), series._form(b, egf))], egf)
+                    assert got == stripped(oracle(a, b)), (n, bits)
+
+    def test_stale_evaluation_is_not_reused(self):
+        # one form in two products at different points X: the second must
+        # pack it again rather than reuse the evaluations at the first X
+        rng = random.Random(5)
+        for flavor, oracle in FLAVORS:
+            egf = flavor is Flavor.EGF
+            a = [rng.choice([1, -1]) * (rng.getrandbits(40) | 1) for _ in range(9)]
+            small, large = [1, -1, 1], [rng.getrandbits(3000) for _ in range(9)]
+            fa = series._form(a, egf)
+            points = []
+            for b in (small, large, small):
+                got = series._convolve([(1, fa, series._form(b, egf))], egf)
+                assert got == stripped(oracle(a, b)), b
+                points.append(fa.q)
+            assert points[0] < points[1] > points[2]
+
+    def test_recover_at_its_bound(self):
+        # sequences of entries up to Y**2 / 4 - 1 in magnitude, the largest the
+        # recovery allows, with runs of one sign and alternating signs, so the
+        # error of the top estimate comes as close to Y / 4 as it can
+        rng = random.Random(11)
+        for width in (1, 2):
+            y = 1 << 8 * width
+            top = y * y // 4 - 1
+            for count in range(1, 13):
+                patterns = [
+                    [top] * count,
+                    [-top] * count,
+                    [top * (-1) ** j for j in range(count)],
+                    [-top * (-1) ** j for j in range(count)],
+                    [0] * (count - 1) + [top],
+                ]
+                patterns += [[rng.randint(-top, top) for _ in range(count)] for _ in range(20)]
+                patterns += [[rng.choice([top, -top, 0]) for _ in range(count)] for _ in range(20)]
+                for d in patterns:
+                    low = sum(c * y**j for j, c in enumerate(d))
+                    high = sum(c * y**j for j, c in enumerate(reversed(d)))
+                    assert series._recover(low, high, count, width) == d, d
+
+    def test_each_form_is_packed_once_per_point(self, monkeypatch):
+        real = series._pack_form
+        packed = []
+
+        def spy(f, q):
+            packed.append((f, q))  # holding f keeps its id from being recycled
+            real(f, q)
+
+        monkeypatch.setattr(series, "_pack_form", spy)
+        solve(FamilyName.LB, 40)
+        keys = [(id(f), q) for f, q in packed]
+        assert len(set(keys)) == len(keys)
+        # the row-at-a-time kernel this replaced packed a form 3,280 times here
+        assert 0 < len(packed) < 3280 // 4
 
     def test_taylor_shift_matches_comb(self):
         rng = random.Random(99)
