@@ -15,7 +15,7 @@ from .exchange import (
     is_isomorphic,
     local_exchanges,
 )
-from .maps import MapCensus, RootedMap, Variant, canonical_code, census, faces, genus
+from .maps import RootedMap, Variant, canonical_code, census, faces, genus
 from .series import BiSeries, FamilyName, FamilySolution, Flavor, solve
 from .terms import (
     App,
@@ -48,7 +48,6 @@ __all__ = [
     "Flavor",
     "Kind",
     "Lam",
-    "MapCensus",
     "ParseError",
     "RootedMap",
     "Term",

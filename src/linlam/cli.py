@@ -58,20 +58,15 @@ def _count_table(args: argparse.Namespace) -> enumeration.CountTable:
     name = args.family
     if args.producer == "series":
         which = _SERIES_FOR_FAMILY[name]
-        sol = series.solve(which, args.max_n).series
-        table = enumeration.CountTable(max_n=args.max_n, provenance=f"series:{which.value}")
-        for n in range(args.max_n + 1):
-            for k in range(n + 2):
-                c = sol.coeff(n, k)
-                if c:
-                    table.entries[(n, k)] = c
-        return table
+        rows = series.solve(which, args.max_n).series.rows
+        entries = {(n, k): c for n, row in enumerate(rows) for k, c in enumerate(row) if c}
+        return enumeration.CountTable(args.max_n, entries, f"series:{which.value}")
     if args.producer == "maps":
         table = enumeration.CountTable(max_n=args.max_n, provenance="maps:all-genera")
         for n in range(1, args.max_n + 1):
-            cens = maps.census(n, Variant.ALL_GENERA, cap_override=args.cap_override)
-            for (edges, vertices), c in cens.entries.items():
-                table.entries[(edges, vertices)] = c
+            table.entries.update(
+                maps.census(n, Variant.ALL_GENERA, cap_override=args.cap_override).entries
+            )
         return table
     if name in _CLASS_FAMILIES:
         counts = exchange.count_classes(_CLASS_FAMILIES[name], args.max_n)
@@ -141,7 +136,14 @@ def cmd_maps_census(args: argparse.Namespace) -> int:
             print(m.to_text())
         return 0
     cens = maps.census(args.edges, variant, cap_override=args.cap_override)
-    sys.stdout.write(cens.to_json() if args.json else cens.to_csv())
+    cells = [[n, k, c] for (n, k), c in sorted(cens.entries.items())]
+    if args.json:
+        data = {"variant": variant.value, "edges": args.edges, "cells": cells}
+        sys.stdout.write(json.dumps(data, indent=2) + "\n")
+    else:
+        print("edges,vertices,count")
+        for n, k, c in cells:
+            print(f"{n},{k},{c}")
     return 0
 
 
@@ -206,6 +208,8 @@ def _check_usage(args: argparse.Namespace) -> None:
         raise ValueError(f"--max-n must be at least {least}")
     if args.command == "list" and min(args.n, args.k) < 0:
         raise ValueError("--n and --k must be non-negative")
+    if args.command == "count" and args.labeled and args.producer != "enum":
+        raise ValueError(f"--labeled needs the enum producer; {args.producer} counts unlabeled")
     if args.command == "maps-census":
         maps.check_edge_count(args.edges, _MAP_VARIANTS[args.variant], args.cap_override)
     elif args.command == "count" and args.producer == "maps":

@@ -10,7 +10,7 @@ the classifier, and the canonicalizer against known ground truth.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import enumeration, exchange, maps, series, terms
 from .enumeration import CountTable, Family
@@ -109,20 +109,22 @@ class CrossCheckReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        data = {
-            "pass": self.ok,
-            "checks": [
-                {
-                    "name": c.name,
-                    "producers": c.producers,
-                    "indices": c.indices,
-                    "ok": c.ok,
-                    "divergence": c.divergence,
-                }
-                for c in self.checks
-            ],
-        }
+        data = {"pass": self.ok, "checks": [asdict(c) for c in self.checks]}
         return json.dumps(data, indent=2) + "\n"
+
+
+def _row(name: str, producers: str, indices: str, problem: str | None) -> CheckResult:
+    return CheckResult(name, producers, indices, problem is None, problem)
+
+
+def _compare(name: str, producers: str, indices: str, pairs) -> CheckResult:
+    """A row over (where, got, want) triples: fail at the first got != want, or on none."""
+    problem = "compared nothing"
+    for where, a, b in pairs:
+        if a != b:
+            return _row(name, producers, indices, f"first divergence at {where}: {a} != {b}")
+        problem = None
+    return _row(name, producers, indices, problem)
 
 
 def _compare_cells(
@@ -134,39 +136,20 @@ def _compare_cells(
     first_n: int = 0,
 ) -> CheckResult:
     """Compare two (n, k) -> count views over the triangular window from first_n."""
-    if max_n < first_n:
-        return CheckResult(name, producers, f"n<={max_n}", False, "compared nothing")
-    for n in range(first_n, max_n + 1):
-        for k in range(n + 2):
-            a, b = left(n, k), right(n, k)
-            if a != b:
-                return CheckResult(
-                    name,
-                    producers,
-                    f"n<={max_n}",
-                    False,
-                    f"first divergence at (n={n}, k={k}): {a} != {b}",
-                )
-    return CheckResult(name, producers, f"n<={max_n}", True)
+    cells = (
+        (f"(n={n}, k={k})", left(n, k), right(n, k))
+        for n in range(first_n, max_n + 1)
+        for k in range(n + 2)
+    )
+    return _compare(name, producers, f"n<={max_n}", cells)
 
 
 def _compare_sequences(
     name: str, producers: str, got: list[int], want: list[int], first_n: int = 1
 ) -> CheckResult:
     limit = min(len(got), len(want))
-    indices = f"n={first_n}..{first_n + limit - 1}"
-    if limit == 0:
-        return CheckResult(name, producers, indices, False, "compared nothing")
-    for i in range(limit):
-        if got[i] != want[i]:
-            return CheckResult(
-                name,
-                producers,
-                indices,
-                False,
-                f"first divergence at n={first_n + i}: {got[i]} != {want[i]}",
-            )
-    return CheckResult(name, producers, indices, True)
+    pairs = ((f"n={first_n + i}", got[i], want[i]) for i in range(limit))
+    return _compare(name, producers, f"n={first_n}..{first_n + limit - 1}", pairs)
 
 
 _FAMILY_SERIES = {
@@ -178,7 +161,7 @@ _FAMILY_SERIES = {
 }
 
 
-def _check_reference_terms(report: CrossCheckReport, enum_cap: int) -> None:
+def _check_reference_terms(enum_cap: int) -> CheckResult:
     """Pin parsing, printing, classification, and enumeration to the embedded list."""
     parsed: dict[int, set[Term]] = {1: set(), 2: set(), 3: set()}
     problem = None
@@ -204,20 +187,16 @@ def _check_reference_terms(report: CrossCheckReport, enum_cap: int) -> None:
             if enumerated != parsed[n]:
                 problem = f"size {n}: enumerated {len(enumerated)} != listed {len(parsed[n])}"
                 break
-    report.checks.append(
-        CheckResult(
-            "terms:embedded-list",
-            "parser/classifier vs enumeration",
-            f"sizes 1..{top}",
-            problem is None,
-            problem,
-        )
+    return _row(
+        "terms:embedded-list",
+        "parser/classifier vs enumeration",
+        f"sizes 1..{top}",
+        problem,
     )
 
 
-def _check_reference_grouping(report: CrossCheckReport) -> None:
-    """The embedded class grouping must match canonical-form deduplication."""
-    problem = None
+def _grouping_problem() -> str | None:
+    # the first way the embedded grouping and deduplication disagree, if any
     want_groups = {
         frozenset(terms.parse(text) for text in group)
         for group in NORMAL_CLASS_GROUPS_UP_TO_SIZE_3
@@ -227,27 +206,26 @@ def _check_reference_grouping(report: CrossCheckReport) -> None:
         for group in exchange.class_groups(Family.NORMAL, n, 0):
             got_groups.add(frozenset(group))
     if got_groups != want_groups:
-        problem = "class partition differs from the embedded grouping"
-    if problem is None:
-        for group in NORMAL_CLASS_GROUPS_UP_TO_SIZE_3:
-            members = [terms.parse(text) for text in group]
-            rep = members[0]
-            for t in members:
-                if not exchange.is_isomorphic(t, rep):
-                    problem = f"{terms.render(t)} not isomorphic to its representative"
-                    break
-                for swapped in exchange.local_exchanges(t):
-                    if exchange.canonicalize(swapped) != exchange.canonicalize(rep):
-                        problem = f"an exchange of {terms.render(t)} left its class"
-                        break
-    report.checks.append(
-        CheckResult(
-            "classes:embedded-grouping",
-            "canonicalize vs embedded classes",
-            "sizes 1..3",
-            problem is None,
-            problem,
-        )
+        return "class partition differs from the embedded grouping"
+    for group in NORMAL_CLASS_GROUPS_UP_TO_SIZE_3:
+        members = [terms.parse(text) for text in group]
+        rep = members[0]
+        for t in members:
+            if not exchange.is_isomorphic(t, rep):
+                return f"{terms.render(t)} not isomorphic to its representative"
+            for swapped in exchange.local_exchanges(t):
+                if exchange.canonicalize(swapped) != exchange.canonicalize(rep):
+                    return f"an exchange of {terms.render(t)} left its class"
+    return None
+
+
+def _check_reference_grouping() -> CheckResult:
+    """The embedded class grouping must match canonical-form deduplication."""
+    return _row(
+        "classes:embedded-grouping",
+        "canonicalize vs embedded classes",
+        "sizes 1..3",
+        _grouping_problem(),
     )
 
 
@@ -270,7 +248,7 @@ def _class_construction_problem(top: int) -> str | None:
     return None
 
 
-def _check_class_construction(report: CrossCheckReport, enum_cap: int) -> None:
+def _check_class_construction(enum_cap: int) -> CheckResult:
     """Constructed class representatives against canonical-form deduplication.
 
     In every cell of sizes 1..min(enum_cap, 3) of both class families, the
@@ -279,14 +257,11 @@ def _check_class_construction(report: CrossCheckReport, enum_cap: int) -> None:
     """
     top = min(enum_cap, 3)
     problem = _class_construction_problem(top) if top >= 1 else "compared nothing"
-    report.checks.append(
-        CheckResult(
-            "classes:construction-vs-dedup",
-            "class grammar vs canonical dedup",
-            f"sizes 1..{top}",
-            problem is None,
-            problem,
-        )
+    return _row(
+        "classes:construction-vs-dedup",
+        "class grammar vs canonical dedup",
+        f"sizes 1..{top}",
+        problem,
     )
 
 
@@ -306,16 +281,21 @@ def run_crosscheck(
     sizes m while 3(m - 1) stays within trivalent_edge_cap.  Series always
     reach series_trunc.
     """
-    report = CrossCheckReport()
     enum_n = min(max_n, enum_cap)
     maps_n = min(max_n, maps_cap)
     trunc = max(series_trunc, max_n, len(references.linear_closed))
+    report = CrossCheckReport(
+        [
+            _check_reference_terms(enum_n),
+            _check_reference_grouping(),
+            _check_class_construction(enum_n),
+        ]
+    )
 
-    _check_reference_terms(report, enum_n)
-    _check_reference_grouping(report)
-    _check_class_construction(report, enum_n)
-
-    solutions = {name: series.solve(name, trunc).series for name in FamilyName}
+    # one solve per equation system: L alone, and each mutual pair once
+    solutions: dict[FamilyName, series.BiSeries] = {}
+    for name in (FamilyName.L, FamilyName.LB, FamilyName.PB, FamilyName.QB):
+        solutions.update(series.solve(name, trunc).system)
 
     neutral_classes = exchange.count_classes(Family.NEUTRAL, enum_n)
     normal_classes = exchange.count_classes(Family.NORMAL, enum_n)
@@ -324,72 +304,66 @@ def run_crosscheck(
     enum_tables: dict[Family, CountTable] = {}
     for family, which in _FAMILY_SERIES.items():
         table = enum_tables[family] = enumeration.count_family(family, enum_n)
-        sol = solutions[which]
         report.checks.append(
             _compare_cells(
                 f"enum-vs-series:{family.value}",
                 "enumeration vs series",
                 table.count,
-                sol.coeff,
+                solutions[which].coeff,
                 enum_n,
             )
         )
 
-    # exchange classes against the quotient series, both routes
-    report.checks.append(
+    # exchange classes against the quotient series, both families
+    report.checks += [
         _compare_cells(
             "classes-vs-series:neutral",
-            "canonical dedup vs quotient series",
+            "class grammar vs quotient series",
             neutral_classes.unlabeled.count,
             solutions[FamilyName.QB].coeff,
             enum_n,
-        )
-    )
-    report.checks.append(
+        ),
         _compare_sequences(
             "classes-vs-series:normal-closed",
-            "canonical dedup vs quotient series",
+            "class grammar vs quotient series",
             normal_classes.labeled.closed_sequence(1, enum_n),
             solutions[FamilyName.QR].closed_sequence(1, enum_n),
-        )
-    )
+        ),
+    ]
 
-    # the two quotient routes are asserted equal inside solve; re-derive the
-    # fixpoint route here so the agreement is visible in the report
+    # solve checks the fixpoint equation B(z,x) = x + z B(z,x) B(z,x+1);
+    # re-derive it here so the agreement is visible in the report
     qb = solutions[FamilyName.QB]
-    fixpoint = series._x_series(series.Flavor.OGF, trunc).add(
-        qb.mul(qb.taylor_shift()).z_shift()
-    )
-    report.checks.append(
+    x = series.BiSeries(series.Flavor.OGF, [[0, 1]], trunc=trunc)
+    fixpoint = x.add(qb.mul(qb.taylor_shift()).z_shift())
+    report.checks += [
         _compare_cells(
             "series:quotient-route-agreement",
             "mutual pair vs fixpoint equation",
             qb.coeff,
             fixpoint.coeff,
             trunc,
-        )
-    )
-    report.checks.append(
+        ),
         _compare_sequences(
             "series:closed-quotient-shift",
             "closed normal classes vs shifted neutral row sums",
             solutions[FamilyName.QR].closed_sequence(1, trunc),
             qb.eval_x(1)[:-1],
-        )
-    )
+        ),
+    ]
 
     # map censuses: triple agreement with the quotient series and the classes.
-    # One pass over each all-genera census feeds the bivariate tally and checks
-    # every map's genus and, as the census never consults canonical_code, that
-    # no two maps share a code
-    censuses: dict[int, maps.MapCensus] = {}
+    # One pass over each all-genera census tallies the (edges, vertices)
+    # table and checks every map's genus and, as the census never consults
+    # canonical_code, that no two maps share a code
+    census = CountTable(max_n=maps_n, provenance="maps:all")
     parity_problem = None
     repeat_problem = None
     for n in range(1, maps_n + 1):
-        reps = maps.census_maps(n, Variant.ALL_GENERA, cap_override=maps_cap)
-        censuses[n] = maps.MapCensus.tally(Variant.ALL_GENERA, n, reps)
         codes: dict[bytes, maps.RootedMap] = {}
-        for m in reps:
+        for m in maps.census_maps(n, Variant.ALL_GENERA, cap_override=maps_cap):
+            key = (n, m.n_vertices)
+            census.entries[key] = census.entries.get(key, 0) + 1
             try:
                 maps.genus(m)
             except ArithmeticError as err:
@@ -397,63 +371,51 @@ def run_crosscheck(
             twin = codes.setdefault(maps.canonical_code(m), m)
             if repeat_problem is None and twin is not m:
                 repeat_problem = f"maps {twin.to_text()} and {m.to_text()} are isomorphic"
-    if not any(c.total() for c in censuses.values()):
+    if not census.total():
         parity_problem = repeat_problem = "compared nothing"
-    planar_censuses = {
-        n: maps.census(n, Variant.PLANAR_ONLY, cap_override=maps_cap)
+    planar_totals = [
+        maps.census(n, Variant.PLANAR_ONLY, cap_override=maps_cap).total()
         for n in range(1, maps_n + 1)
-    }
+    ]
 
     # maps start at one edge
-    def census_cell(n: int, k: int) -> int:
-        return censuses[n].count(n, k)
-
-    report.checks.append(
+    report.checks += [
         _compare_cells(
             "series-vs-census:bivariate",
             "quotient series vs map census",
             solutions[FamilyName.QB].coeff,
-            census_cell,
+            census.count,
             maps_n,
             first_n=1,
-        )
-    )
-    report.checks.append(
+        ),
         _compare_cells(
             "classes-vs-census:bivariate",
-            "canonical dedup vs map census",
+            "class grammar vs map census",
             neutral_classes.unlabeled.count,
-            census_cell,
+            census.count,
             min(maps_n, enum_n),
             first_n=1,
-        )
-    )
-
-    report.checks.append(
-        CheckResult(
+        ),
+        _row(
             "maps:euler-parity",
             "faces/genus consistency",
             f"n<={maps_n}",
-            parity_problem is None,
             parity_problem,
-        )
-    )
-    report.checks.append(
-        CheckResult(
+        ),
+        _row(
             "maps:distinct-codes",
             "census maps pairwise non-isomorphic",
             f"n<={maps_n}",
-            repeat_problem is None,
             repeat_problem,
-        )
-    )
+        ),
+    ]
 
     # planar maps against planar closed terms, shifted by one size
     report.checks.append(
         _compare_sequences(
             "census:planar-vs-planar-terms",
             "planar census vs planar series",
-            [planar_censuses[n].total() for n in range(1, maps_n + 1)],
+            planar_totals,
             [
                 solutions[FamilyName.PR].coeff(n + MAP_SIZE_SHIFT, 0)
                 for n in range(1, maps_n + 1)
@@ -481,66 +443,42 @@ def run_crosscheck(
             )
         )
 
-    # embedded reference prefixes
+    # embedded reference prefixes, each over the shorter of the prefix and
+    # its producer's window
+    linear, normal = references.linear_closed, references.normal_closed
+    planar, quotient = references.planar_normal_closed, references.quotient_closed
+    longest = max(map(len, (linear, normal, planar, quotient)))
+    closed = {which: sol.closed_sequence(1, longest) for which, sol in solutions.items()}
+    enum_closed = {f: table.closed_sequence(1, enum_n) for f, table in enum_tables.items()}
+    by_series, by_enum = "series vs embedded prefix", "enumeration vs embedded prefix"
     prefix_checks = [
-        ("references:series-linear", FamilyName.L, references.linear_closed),
-        ("references:series-normal", FamilyName.LR, references.normal_closed),
+        ("references:series-linear", by_series, closed[FamilyName.L], linear),
+        ("references:series-normal", by_series, closed[FamilyName.LR], normal),
+        ("references:series-planar-normal", by_series, closed[FamilyName.PR], planar),
+        ("references:series-quotient", by_series, closed[FamilyName.QR], quotient),
+        ("references:enum-linear", by_enum, enum_closed[Family.LINEAR], linear),
+        ("references:enum-normal", by_enum, enum_closed[Family.NORMAL], normal),
+        ("references:enum-planar-normal", by_enum, enum_closed[Family.PLANAR_NORMAL], planar),
         (
-            "references:series-planar-normal",
-            FamilyName.PR,
-            references.planar_normal_closed,
-        ),
-        ("references:series-quotient", FamilyName.QR, references.quotient_closed),
-    ]
-    for name, which, want in prefix_checks:
-        got = solutions[which].closed_sequence(1, len(want))
-        report.checks.append(
-            _compare_sequences(name, "series vs embedded prefix", got, list(want))
-        )
-
-    enum_prefix_checks = [
-        ("references:enum-linear", Family.LINEAR, references.linear_closed),
-        ("references:enum-normal", Family.NORMAL, references.normal_closed),
-        (
-            "references:enum-planar-normal",
-            Family.PLANAR_NORMAL,
-            references.planar_normal_closed,
-        ),
-    ]
-    for name, family, want in enum_prefix_checks:
-        got = enum_tables[family].closed_sequence(1, enum_n)
-        report.checks.append(
-            _compare_sequences(
-                name, "enumeration vs embedded prefix", got, list(want[:enum_n])
-            )
-        )
-    report.checks.append(
-        _compare_sequences(
             "references:classes-quotient",
-            "canonical dedup vs embedded prefix",
+            "class grammar vs embedded prefix",
             normal_classes.labeled.closed_sequence(1, enum_n),
-            list(references.quotient_closed[:enum_n]),
-        )
-    )
-    report.checks.append(
-        _compare_sequences(
+            quotient,
+        ),
+        (
             "references:maps-quotient",
             "map census vs embedded prefix (one-size shift)",
-            [censuses[n].total() for n in range(1, maps_n + 1)],
-            list(references.quotient_closed[MAP_SIZE_SHIFT : maps_n + MAP_SIZE_SHIFT]),
-        )
-    )
-    report.checks.append(
-        _compare_sequences(
+            [sum(census.row(n)) for n in range(1, maps_n + 1)],
+            quotient[MAP_SIZE_SHIFT:],
+        ),
+        (
             "references:maps-planar",
             "planar census vs embedded prefix (one-size shift)",
-            [planar_censuses[n].total() for n in range(1, maps_n + 1)],
-            list(
-                references.planar_normal_closed[
-                    MAP_SIZE_SHIFT : maps_n + MAP_SIZE_SHIFT
-                ]
-            ),
-        )
-    )
+            planar_totals,
+            planar[MAP_SIZE_SHIFT:],
+        ),
+    ]
+    for name, producers, got, want in prefix_checks:
+        report.checks.append(_compare_sequences(name, producers, got, list(want)))
 
     return report

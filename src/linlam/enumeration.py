@@ -291,6 +291,9 @@ class CountTable:
     def count(self, n: int, k: int) -> int:
         return self.entries.get((n, k), 0)
 
+    def total(self) -> int:
+        return sum(self.entries.values())
+
     def row(self, n: int) -> list[int]:
         return [self.count(n, k) for k in range(n + 2)]
 

@@ -17,10 +17,11 @@ independent isomorphism test.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
+
+from .enumeration import CountTable
 
 Perm = tuple[int, ...]
 
@@ -299,46 +300,12 @@ def census_maps(
     return list(reps)
 
 
-@dataclass
-class MapCensus:
-    """Counts of rooted-map isomorphism classes by (edges, vertices)."""
-
-    variant: Variant
-    n_edges: int
-    entries: dict[tuple[int, int], int]
-
-    @classmethod
-    def tally(cls, variant: Variant, n_edges: int, reps: Iterable[RootedMap]) -> MapCensus:
-        """Count the given maps with n edges by vertex count."""
-        entries: dict[tuple[int, int], int] = {}
-        for m in reps:
-            key = (n_edges, m.n_vertices)
-            entries[key] = entries.get(key, 0) + 1
-        return cls(variant, n_edges, entries)
-
-    def count(self, n: int, k: int) -> int:
-        return self.entries.get((n, k), 0)
-
-    def total(self) -> int:
-        return sum(self.entries.values())
-
-    def to_csv(self) -> str:
-        lines = ["edges,vertices,count"]
-        for (n, k), c in sorted(self.entries.items()):
-            lines.append(f"{n},{k},{c}")
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        data = {
-            "variant": self.variant.value,
-            "edges": self.n_edges,
-            "cells": [[n, k, c] for (n, k), c in sorted(self.entries.items())],
-        }
-        return json.dumps(data, indent=2) + "\n"
-
-
 def census(
     n_edges: int, variant: Variant = Variant.ALL_GENERA, cap_override: int | None = None
-) -> MapCensus:
-    """Tally the deduplicated maps with n edges by vertex count."""
-    return MapCensus.tally(variant, n_edges, census_maps(n_edges, variant, cap_override))
+) -> CountTable:
+    """Tally the maps with n edges by vertex count, as cells (edges, vertices)."""
+    table = CountTable(max_n=n_edges, provenance=f"maps:{variant.value}")
+    for m in census_maps(n_edges, variant, cap_override):
+        key = (n_edges, m.n_vertices)
+        table.entries[key] = table.entries.get(key, 0) + 1
+    return table

@@ -48,10 +48,15 @@ a shift and an add per step, for a slot width w that fits the shifted
 coefficients, which are at most sum |c_k| 2^k: p(2^w + 1) is then p(x + 1)
 packed in w-bit slots.
 
-Seven families are solved order by order in z.  Equations whose right side
-contains a same-order derivative are triangular in the x-degree and fall to
-back-substitution from the top degree down.  Every solution is re-checked,
-exactly, against its defining equation before being returned.
+Seven families are solved order by order in z: the linear family alone,
+and the others as three mutual pairs, a neutral family b = x + b r and its
+normal family r, each pair in one solve that yields both.  The pairs differ
+only in the abstraction rule that gives r_n from b_(n-1).  Where it holds a
+same-order derivative (LB/LR, PB/PR) it is triangular in the x-degree and
+falls to back-substitution from the top degree down; for the exchange
+classes (QB/QR) it is the Taylor shift, so B(z,x) = x + z B(z,x) B(z,x+1).
+Every solution is re-checked, exactly, against its defining equations
+before being returned.
 """
 
 from __future__ import annotations
@@ -402,51 +407,35 @@ def _rows_linear(trunc: int) -> list[list[int]]:
     return rows
 
 
-def _rows_neutral_normal(trunc: int, egf: bool) -> tuple[list[list[int]], list[list[int]]]:
+def _rows_pair(trunc: int, egf: bool, abstract) -> tuple[list[list[int]], list[list[int]]]:
+    """Rows of a mutual pair b = x + b r, with r_n = abstract(b_(n-1), n)."""
     b_rows: list[list[int]] = [[0, 1]]
     r_rows: list[list[int]] = [[]]
     b_forms = [_form(b_rows[0], egf)]
     r_forms = [_form(r_rows[0], egf)]
     for n in range(1, trunc + 1):
-        r_rows.append(_back_substitute(b_rows[n - 1], n))
+        r_rows.append(abstract(b_rows[n - 1], n))
         r_forms.append(_form(r_rows[n], egf))
         b_rows.append(_convolve([(1, b_forms[i], r_forms[n - i]) for i in range(n)], egf))
         b_forms.append(_form(b_rows[n], egf))
     return b_rows, r_rows
 
 
-def _rows_quotient(trunc: int) -> tuple[list[list[int]], list[list[int]]]:
-    # first route: the mutual pair, with the shifted-argument sum as the
-    # abstraction rule
-    b_rows: list[list[int]] = [[0, 1]]
-    r_rows: list[list[int]] = [[]]
-    b_forms = [_form(b_rows[0], False)]
-    r_forms = [_form(r_rows[0], False)]
-    for n in range(1, trunc + 1):
-        r_rows.append(_taylor_shift_row(b_rows[n - 1]))
-        r_forms.append(_form(r_rows[n], False))
-        b_rows.append(_convolve([(1, b_forms[i], r_forms[n - i]) for i in range(n)], False))
-        b_forms.append(_form(b_rows[n], False))
-    # second route: the single self-referential equation B(z,x) = x + z B(z,x) B(z,x+1),
-    # built from its own rows, each shifted once
-    alt: list[list[int]] = [[0, 1]]
-    alt_forms = [_form(alt[0], False)]
-    shifted_forms: list[_Form] = []
-    for n in range(1, trunc + 1):
-        shifted_forms.append(_form(_taylor_shift_row(alt[n - 1]), False))
-        alt.append(
-            _convolve([(1, alt_forms[i], shifted_forms[n - 1 - i]) for i in range(n)], False)
-        )
-        alt_forms.append(_form(alt[n], False))
-    if [_strip(list(r)) for r in b_rows] != [_strip(list(r)) for r in alt]:
-        raise ArithmeticError("quotient solver routes disagree")
-    return b_rows, r_rows
+# the neutral and normal family of each mutual pair
+_PAIRS = (
+    (FamilyName.LB, FamilyName.LR),
+    (FamilyName.PB, FamilyName.PR),
+    (FamilyName.QB, FamilyName.QR),
+)
 
 
 @dataclass(frozen=True)
 class FamilySolution:
+    """One family's series, and every series solved with it (both halves of a pair)."""
+
     which: FamilyName
     series: BiSeries
+    system: dict[FamilyName, BiSeries]
 
 
 def _verify_linear(s: BiSeries) -> None:
@@ -479,9 +468,10 @@ def _verify_quotient(b: BiSeries, r: BiSeries) -> None:
 def solve(which: FamilyName | str, trunc: int = 12) -> FamilySolution:
     """Solve one family's functional equation to the given z-truncation.
 
-    All coefficients are exact integers.  Internal consistency (the defining
-    equation, and route agreement for the quotient families) is asserted
-    before returning; a failure raises ArithmeticError.
+    All coefficients are exact integers.  A mutual pair is solved once for
+    both of its families, which the solution's system carries.  The
+    solution is checked against its defining equations before returning; a
+    failure raises ArithmeticError.
     """
     which = FamilyName(which) if isinstance(which, str) else which
     if trunc < 0:
@@ -489,22 +479,21 @@ def solve(which: FamilyName | str, trunc: int = 12) -> FamilySolution:
     if which is FamilyName.L:
         series = BiSeries(Flavor.EGF, _rows_linear(trunc), trunc=trunc)
         _verify_linear(series)
-        return FamilySolution(which, series)
-    if which in (FamilyName.LB, FamilyName.LR, FamilyName.PB, FamilyName.PR):
-        egf = which in (FamilyName.LB, FamilyName.LR)
-        flavor = Flavor.EGF if egf else Flavor.OGF
-        b_rows, r_rows = _rows_neutral_normal(trunc, egf)
-        b = BiSeries(flavor, b_rows, trunc=trunc)
-        r = BiSeries(flavor, r_rows, trunc=trunc)
+        return FamilySolution(which, series, {which: series})
+    pair = next(p for p in _PAIRS if which in p)
+    quotient = pair[0] is FamilyName.QB
+    egf = pair[0] is FamilyName.LB
+    flavor = Flavor.EGF if egf else Flavor.OGF
+    # the abstraction rule: r_n(x) = b_(n-1)(x + 1) for classes, else the
+    # same-order derivative, back-substituted under the degree bound n
+    abstract = (lambda row, n: _taylor_shift_row(row)) if quotient else _back_substitute
+    b, r = (BiSeries(flavor, rows, trunc=trunc) for rows in _rows_pair(trunc, egf, abstract))
+    if quotient:
+        _verify_quotient(b, r)
+    else:
         _verify_pair(b, r, egf)
-        series = b if which in (FamilyName.LB, FamilyName.PB) else r
-        return FamilySolution(which, series)
-    b_rows, r_rows = _rows_quotient(trunc)
-    b = BiSeries(Flavor.OGF, b_rows, trunc=trunc)
-    r = BiSeries(Flavor.OGF, r_rows, trunc=trunc)
-    _verify_quotient(b, r)
-    series = b if which is FamilyName.QB else r
-    return FamilySolution(which, series)
+    system = dict(zip(pair, (b, r)))
+    return FamilySolution(which, system[which], system)
 
 
 # ---------------------------------------------------------------------------

@@ -92,8 +92,8 @@ def test_criterion_4_isomorphism_classes_of_closed_normal_terms():
     ]
     qb = solve(FamilyName.QB, 12).series
     qr = solve(FamilyName.QR, 12).series
-    # route one is the mutual pair; rebuild route two from the fixpoint
-    # equation and compare the full tables
+    # the solver builds the mutual pair; rebuild the table from the fixpoint
+    # equation B = x + z B B(x+1) and compare the full tables
     x = BiSeries(Flavor.OGF, [[0, 1]], trunc=12)
     fixpoint = x.add(qb.mul(qb.taylor_shift()).z_shift())
     routes_agree = qb == fixpoint

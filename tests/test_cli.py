@@ -49,6 +49,12 @@ class TestCount:
         lines = out.strip().splitlines()
         assert "2,2,5" in lines
 
+    def test_labeled_classes(self, capsys):
+        _, out = run(
+            capsys, "count", "--family", "classes-neutral", "--labeled", "--max-n", "2"
+        )
+        assert "2,2,10" in out.splitlines()
+
     def test_maps_producer_rejects_term_families(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["count", "--family", "normal", "--producer", "maps"])
@@ -99,10 +105,38 @@ class TestSeriesTable:
         assert "QB,2,2,5" in out.splitlines()
 
 
+ONE_EDGE_JSON = """\
+{
+  "variant": "all",
+  "edges": 1,
+  "cells": [
+    [
+      1,
+      1,
+      1
+    ],
+    [
+      1,
+      2,
+      1
+    ]
+  ]
+}
+"""
+
+
 class TestMapsCensus:
     def test_csv(self, capsys):
         _, out = run(capsys, "maps-census", "--edges", "2")
         assert out == "edges,vertices,count\n2,1,3\n2,2,5\n2,3,2\n"
+
+    def test_one_edge_csv(self, capsys):
+        _, out = run(capsys, "maps-census", "--edges", "1")
+        assert out == "edges,vertices,count\n1,1,1\n1,2,1\n"
+
+    def test_one_edge_json(self, capsys):
+        _, out = run(capsys, "maps-census", "--edges", "1", "--json")
+        assert out == ONE_EDGE_JSON
 
     def test_list_maps(self, capsys):
         _, out = run(capsys, "maps-census", "--edges", "1", "--list")
@@ -162,6 +196,15 @@ class TestUsageErrors:
         assert code == 2
         assert "only counts classes-neutral" in err
 
+
+    @pytest.mark.parametrize("producer", ["series", "maps"])
+    def test_labeled_needs_enum_producer(self, capsys, producer):
+        code, err = usage_error(
+            capsys, "count", "--family", "classes-neutral", "--producer", producer,
+            "--labeled", "--max-n", "2",
+        )
+        assert code == 2
+        assert f"--labeled needs the enum producer; {producer} counts unlabeled" in err
 
     def test_negative_list_size(self, capsys):
         code, err = usage_error(capsys, "list", "--family", "normal", "--n", "-1")
@@ -318,6 +361,24 @@ class TestCrosscheck:
         assert run_crosscheck(3).ok
         assert len(calls) == len(set(calls))
         assert [n for n, v in calls if v is maps.Variant.ALL_GENERA] == [1, 2, 3]
+
+    def test_each_equation_system_solved_once(self, monkeypatch):
+        calls = []
+        original = series.solve
+
+        def spy(which, trunc=12):
+            calls.append(series.FamilyName(which))
+            return original(which, trunc)
+
+        monkeypatch.setattr(series, "solve", spy)
+        assert run_crosscheck(3).ok
+        assert sorted(c.value for c in calls) == ["L", "LB", "PB", "QB"]
+
+    def test_grouping_row_reports_the_first_problem(self, monkeypatch):
+        monkeypatch.setattr(exchange, "is_isomorphic", lambda t, rep: False)
+        report = run_crosscheck(1)
+        row = next(c for c in report.checks if c.name == "classes:embedded-grouping")
+        assert row.divergence == "λa.a not isomorphic to its representative"
 
     def test_euler_parity_reports_genus_error(self, monkeypatch):
         # one dart fixed by both permutations: Euler defect 1

@@ -6,7 +6,6 @@ from typing import Iterator
 import pytest
 
 from linlam.maps import (
-    MapCensus,
     Perm,
     RootedMap,
     Variant,
@@ -174,11 +173,6 @@ class TestCensus:
         with pytest.raises(ValueError, match="at least one edge"):
             census(0, Variant.ALL_GENERA)
 
-    def test_exports(self):
-        c = census(1, Variant.ALL_GENERA)
-        assert c.to_csv() == "edges,vertices,count\n1,1,1\n1,2,1\n"
-        assert '"variant": "all"' in c.to_json()
-
     def test_map_text_form(self):
         assert LOOP.to_text() == "sigma=(0 1) alpha=(0 1) root=0"
 
@@ -187,10 +181,12 @@ def test_all_genera_five_edges_total():
     assert census(5, Variant.ALL_GENERA).total() == 8162
 
 
-def test_mapcensus_count_accessor():
-    c = MapCensus(Variant.ALL_GENERA, 1, {(1, 2): 1})
+def test_census_count_accessor():
+    c = census(1, Variant.ALL_GENERA)
+    assert (c.max_n, c.provenance) == (1, "maps:all")
     assert c.count(1, 2) == 1
-    assert c.count(1, 1) == 0
+    assert c.count(1, 3) == 0
+    assert c.count(2, 1) == 0
 
 
 # ---------------------------------------------------------------------------

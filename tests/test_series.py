@@ -397,21 +397,21 @@ class TestEquationChecksAreLive:
     @pytest.mark.parametrize("which", [FamilyName.LB, FamilyName.LR, FamilyName.PB, FamilyName.PR])
     @pytest.mark.parametrize("side", [0, 1])
     def test_pair(self, monkeypatch, which, side):
-        real = series._rows_neutral_normal
+        real = series._rows_pair
 
-        def wrong(trunc, egf):
-            pair = real(trunc, egf)
+        def wrong(trunc, egf, abstract):
+            pair = real(trunc, egf, abstract)
             bump(pair[side])
             return pair
 
-        monkeypatch.setattr(series, "_rows_neutral_normal", wrong)
+        monkeypatch.setattr(series, "_rows_pair", wrong)
         with pytest.raises(ArithmeticError, match="family solution fails its equation"):
             solve(which, 24)
 
     @pytest.mark.parametrize("which", [FamilyName.QB, FamilyName.QR])
     def test_quotient_routes(self, monkeypatch, which):
-        # corrupt the first shift of a degree-20 row only: route 1 makes it
-        # (r_20 from b_19), and route 2 shifts its own copy later
+        # corrupt the first shift of a degree-20 row only: the solver makes it
+        # (r_20 from b_19), and the fixpoint check shifts b afresh
         real = series._taylor_shift_row
         seen = []
 
@@ -423,7 +423,7 @@ class TestEquationChecksAreLive:
             return out
 
         monkeypatch.setattr(series, "_taylor_shift_row", wrong)
-        with pytest.raises(ArithmeticError, match="routes disagree"):
+        with pytest.raises(ArithmeticError, match="fixpoint equation"):
             solve(which, 24)
         assert seen
 
@@ -431,14 +431,14 @@ class TestEquationChecksAreLive:
         "side,message", [(0, "fixpoint equation"), (1, "abstraction rule")]
     )
     def test_quotient_fixpoint(self, monkeypatch, side, message):
-        real = series._rows_quotient
+        real = series._rows_pair
 
-        def wrong(trunc):
-            pair = real(trunc)
+        def wrong(trunc, egf, abstract):
+            pair = real(trunc, egf, abstract)
             bump(pair[side])
             return pair
 
-        monkeypatch.setattr(series, "_rows_quotient", wrong)
+        monkeypatch.setattr(series, "_rows_pair", wrong)
         with pytest.raises(ArithmeticError, match=message):
             solve(FamilyName.QB, 24)
 
