@@ -208,8 +208,11 @@ def _check_usage(args: argparse.Namespace) -> None:
         raise ValueError(f"--max-n must be at least {least}")
     if args.command == "list" and min(args.n, args.k) < 0:
         raise ValueError("--n and --k must be non-negative")
-    if args.command == "count" and args.labeled and args.producer != "enum":
-        raise ValueError(f"--labeled needs the enum producer; {args.producer} counts unlabeled")
+    if args.command == "count" and args.labeled:
+        if args.family not in _CLASS_FAMILIES:
+            raise ValueError(f"--labeled counts class families only, not {args.family}")
+        if args.producer != "enum":
+            raise ValueError(f"--labeled needs the enum producer; {args.producer} counts unlabeled")
     if args.command == "maps-census":
         maps.check_edge_count(args.edges, _MAP_VARIANTS[args.variant], args.cap_override)
     elif args.command == "count" and args.producer == "maps":

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from math import factorial
 
 from . import enumeration, exchange, maps, series, terms
 from .enumeration import CountTable, Family
@@ -229,6 +230,17 @@ def _check_reference_grouping() -> CheckResult:
     )
 
 
+def _free_order(t: Term) -> list[int]:
+    # the free positions of a term in depth-first order, function first
+    if isinstance(t, terms.FVar):
+        return [t.index]
+    if isinstance(t, terms.App):
+        return _free_order(t.fun) + _free_order(t.arg)
+    if isinstance(t, terms.Lam):
+        return _free_order(t.body)
+    return []
+
+
 def _class_construction_problem(top: int) -> str | None:
     # the first cell where construction and deduplication disagree, if any
     for family in (Family.NEUTRAL, Family.NORMAL):
@@ -237,14 +249,17 @@ def _class_construction_problem(top: int) -> str | None:
                 continue
             built = list(cell)
             distinct = set(built)
-            leaders = {group[0] for group in exchange.class_groups(family, n, k)}
+            leaders = [group[0] for group in exchange.class_groups(family, n, k)]
+            in_order = {t for t in leaders if _free_order(t) == list(range(k))}
             where = f"{family.value} (n={n}, k={k})"
             if len(distinct) != len(built):
                 return f"{where}: a representative was constructed twice"
-            if len(distinct) != len(leaders):
-                return f"{where}: {len(distinct)} constructed != {len(leaders)} by dedup"
-            if distinct != leaders:
+            if len(distinct) != len(in_order):
+                return f"{where}: {len(distinct)} constructed != {len(in_order)} by dedup"
+            if distinct != in_order:
                 return f"{where}: constructed and dedup representatives differ"
+            if factorial(k) * len(distinct) != len(leaders):
+                return f"{where}: {k}! x {len(distinct)} constructed != {len(leaders)} by dedup"
     return None
 
 
@@ -252,8 +267,10 @@ def _check_class_construction(enum_cap: int) -> CheckResult:
     """Constructed class representatives against canonical-form deduplication.
 
     In every cell of sizes 1..min(enum_cap, 3) of both class families, the
-    class grammar must build each representative once, and build exactly the
-    leaders of the groups that class_groups finds by deduplication.
+    class grammar must build each representative once, and build exactly
+    the leaders of the groups that class_groups finds by deduplication
+    whose free variables first occur in order; k! times as many leaders
+    must exist in all, one per relabeling.
     """
     top = min(enum_cap, 3)
     problem = _class_construction_problem(top) if top >= 1 else "compared nothing"

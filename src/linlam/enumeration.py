@@ -1,35 +1,41 @@
 """Exhaustive generation of linear term families, indexed by size and context.
 
-Each family is generated by its grammar over an explicit ordered context.
-The context holds the leaf that refers to each variable in scope: FVar(j)
-for a free position, Var(i) for the binder i levels up.  An application
-splits the context between function and argument, and the split is the
-grammar's one parameter: all subsets for the labeled families, contiguous
-blocks (function first) for the planar ones.  An abstraction run of r
-binders moves every binder of the context r levels up and appends
-Var(r - 1), ..., Var(0), and a leaf emits its context entry as it is, so no
-generated body is rewritten and every qualifying term is produced exactly
-once.
+Every family is generated by its grammar over an explicit context: a tuple
+of non-empty ordered groups of the leaves that refer to the variables in
+scope, FVar(j) for a free position and Var(i) for the binder i levels up.
+An application gives the function a prefix of every group and the
+argument the rest; a leaf needs exactly one atom left and emits it as it
+is.  An abstraction run of r binders moves every binder of the context r
+levels up, and Var(r - 1), ..., Var(0) join it.  No generated body is
+rewritten, and every qualifying term is produced exactly once.
 
-The same neutral and normal rules also build one representative of every
-exchange class (see linlam.exchange) without generating the class's other
-members.  A term is its class's canonical form exactly when, in every
-maximal binder run, the binders first occur (depth first, function before
-argument) in order from the outermost.  The class grammar therefore runs
-over a context of groups: each free variable is a singleton group, and each
-maximal binder run adds one ordered group, outermost binder first.  An
-application gives the function a prefix of every group and the argument the
-rest, because all of a function's variables occur before all of its
-argument's; on singleton groups that is the subset split.  A leaf needs
-exactly one atom left.
+The families differ only in how new atoms (the k free positions of a cell,
+the binders of a run) join the context.  The labeled families (linear,
+neutral, normal) put each atom in a group of its own, so an application
+splits the context into any two subsets.  The planar families put every
+atom in the one group, so the function takes a front block.  The class
+grammar makes each set of new atoms one new group.  Cuts come out ordered
+by the number of atoms the function takes, then by their positions in the
+flattened context: on singleton groups the order of itertools.combinations.
+
+The class grammar runs the neutral and normal rules to build one
+representative of every exchange class with unlabeled free variables (see
+linlam.exchange) and no other term.  A term is its class's canonical form
+exactly when, in every maximal binder run, the binders first occur (depth
+first, function before argument) in order from the outermost, and each
+relabeling orbit holds exactly one such form whose free variables first
+occur in the order 0..k-1.  All of a function's variables occur before all
+of its argument's, so prefix cuts keep every group in first-occurrence
+order: the k free variables form one group, and each maximal binder run,
+outermost binder first, one more.
 
 Sub-results are shared within a census.  The terms a rule generates for a
 strictly smaller size and a context are built once, kept as a tuple, and
-reused by every application that needs them; the cell being generated,
-and the abstraction bodies under it, stay generators.  Each call of
-enum_family, enum_cells (which count_family uses) or class_cells has its
-own memo and drops it on return.  Terms are immutable, so sharing subterm
-objects between them is safe.
+reused by every application that needs them, as is each context's list of
+cuts; the cell being generated, and the abstraction bodies under it, stay
+generators.  Each call of enum_family, enum_cells (which count_family uses)
+or class_cells has its own census and drops it on return.  Terms are
+immutable, so sharing subterm objects between them is safe.
 """
 
 from __future__ import annotations
@@ -37,7 +43,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations, product
+from functools import cache
+from itertools import accumulate, chain, product
 from typing import Callable, Iterator
 
 from .terms import App, FVar, Lam, Term, Var
@@ -52,116 +59,86 @@ class Family(Enum):
 
 
 Atom = FVar | Var
-Context = tuple[Atom, ...]
-Split = Callable[[Context], Iterator[tuple[Context, Context]]]
+Group = tuple[Atom, ...]
+Context = tuple[Group, ...]
+Cut = tuple[Context, Context]
+Join = Callable[[Context, Group], Context]
 
 
-def _subset_splits(ctx: Context) -> Iterator[tuple[Context, Context]]:
-    # every way to hand a sub-context to the function, the rest to the argument
-    for r in range(len(ctx) + 1):
-        for chosen in combinations(ctx, r):
-            taken = set(chosen)
-            yield chosen, tuple(a for a in ctx if a not in taken)
+def _singletons(ctx: Context, atoms: Group) -> Context:
+    # labeled families: every atom is a group of its own
+    return ctx + tuple((a,) for a in atoms)
 
 
-def _block_splits(ctx: Context) -> Iterator[tuple[Context, Context]]:
-    # ordered context cut in two: function gets the front block
-    for i in range(len(ctx) + 1):
-        yield ctx[:i], ctx[i:]
+def _one_group(ctx: Context, atoms: Group) -> Context:
+    # planar families: the whole context is one ordered group
+    merged = tuple(chain(*ctx, atoms))
+    return (merged,) if merged else ()
+
+
+def _new_group(ctx: Context, atoms: Group) -> Context:
+    # class grammar: the atoms that join together form one ordered group
+    return ctx + (atoms,) if atoms else ctx
+
+
+def _cuts(ctx: Context) -> list[Cut]:
+    # the function takes a prefix of every group, the argument the rest,
+    # ordered by atoms taken, then by their flattened positions
+    offsets = list(accumulate(map(len, ctx), initial=0))
+
+    def taken(cut: tuple[int, ...]) -> tuple[int, list[int]]:
+        positions = [p for o, i in zip(offsets, cut) for p in range(o, o + i)]
+        return len(positions), positions
+
+    return [
+        (
+            tuple(g[:i] for g, i in zip(ctx, cut) if i),
+            tuple(g[i:] for g, i in zip(ctx, cut) if i < len(g)),
+        )
+        for cut in sorted(product(*(range(len(g) + 1) for g in ctx)), key=taken)
+    ]
 
 
 def _shift(a: Atom, r: int) -> Atom:
     return Var(a.index + r) if isinstance(a, Var) else a
 
 
-def _run(r: int) -> Context:
+def _run(r: int) -> Group:
     # the atoms of a run of r binders, outermost first
     return tuple(Var(i) for i in range(r - 1, -1, -1))
 
 
 class _Census:
-    """A grammar rule, the contexts it runs over, and its sub-results so far.
+    """A grammar rule, a join rule, and the sub-results built so far.
 
     A sub-result is the tuple of terms one rule generates for a size and a
-    context; it is built the first time it is asked for and then reused.
-    Each public call makes its own census and drops it on return.  A
-    subclass fixes the context: start(k) for k free positions, size(ctx)
-    atoms in scope, leaf(ctx) for the one atom left, split(ctx) for an
-    application, and bind(ctx, r) for the body of a run of r binders.
+    context; it is built the first time it is asked for and then reused, as
+    is each context's list of cuts.  Each public call makes its own census
+    and drops it on return.
     """
 
-    def __init__(self, rule: Rule) -> None:
+    def __init__(self, rule: Rule, join: Join) -> None:
         self.rule = rule
-        self.memo: dict[tuple[Rule, int, tuple], tuple[Term, ...]] = {}
+        self.join = join
+        self.memo: dict[tuple[Rule, int, Context], tuple[Term, ...]] = {}
+        self.split: Callable[[Context], list[Cut]] = cache(_cuts)
 
     def cell(self, n: int, k: int) -> Iterator[Term]:
-        return self.rule(self, n, self.start(k))
+        return self.rule(self, n, self.join((), tuple(FVar(j) for j in range(k))))
 
-    def shared(self, rule: Rule, n: int, ctx: tuple) -> tuple[Term, ...]:
+    def shared(self, rule: Rule, n: int, ctx: Context) -> tuple[Term, ...]:
         key = (rule, n, ctx)
         terms = self.memo.get(key)
         if terms is None:
             terms = self.memo[key] = tuple(rule(self, n, ctx))
         return terms
 
-
-class _AtomCensus(_Census):
-    """Contexts are ordered tuples of atoms, split as the family says."""
-
-    def __init__(self, family: Family) -> None:
-        rule, self.split = _GRAMMARS[family]
-        super().__init__(rule)
-
-    @staticmethod
-    def start(k: int) -> Context:
-        return tuple(FVar(j) for j in range(k))
-
-    size = staticmethod(len)
-
-    @staticmethod
-    def leaf(ctx: Context) -> Atom:
-        return ctx[0]
-
-    @staticmethod
-    def bind(ctx: Context, r: int) -> Context:
-        return tuple(_shift(a, r) for a in ctx) + _run(r)
+    def bind(self, ctx: Context, r: int) -> Context:
+        # the body of a run of r binders
+        return self.join(tuple(tuple(_shift(a, r) for a in g) for g in ctx), _run(r))
 
 
-GroupContext = tuple[Context, ...]
-
-
-class _GroupCensus(_Census):
-    """Contexts are tuples of non-empty ordered groups: the class grammar."""
-
-    @staticmethod
-    def start(k: int) -> GroupContext:
-        return tuple((FVar(j),) for j in range(k))
-
-    @staticmethod
-    def size(ctx: GroupContext) -> int:
-        return sum(map(len, ctx))
-
-    @staticmethod
-    def leaf(ctx: GroupContext) -> Atom:
-        return ctx[0][0]
-
-    @staticmethod
-    def split(ctx: GroupContext) -> Iterator[tuple[GroupContext, GroupContext]]:
-        # the function takes a prefix of every group, the argument the rest
-        for cuts in product(*(range(len(g) + 1) for g in ctx)):
-            yield (
-                tuple(g[:i] for g, i in zip(ctx, cuts) if i),
-                tuple(g[i:] for g, i in zip(ctx, cuts) if i < len(g)),
-            )
-
-    @staticmethod
-    def bind(ctx: GroupContext, r: int) -> GroupContext:
-        if not r:
-            return ctx
-        return tuple(tuple(_shift(a, r) for a in g) for g in ctx) + (_run(r),)
-
-
-Rule = Callable[[_Census, int, tuple], Iterator[Term]]
+Rule = Callable[[_Census, int, Context], Iterator[Term]]
 
 # The two sides of an application are strictly smaller terms, so they come
 # from the census's shared sub-results.  An abstraction's body, and the
@@ -170,11 +147,11 @@ Rule = Callable[[_Census, int, tuple], Iterator[Term]]
 
 
 def _linear(c: _Census, n: int, ctx: Context) -> Iterator[Term]:
-    atoms = c.size(ctx)
+    atoms = sum(map(len, ctx))
     if n < 1 or atoms > n:
         return
     if n == 1 and atoms == 1:
-        yield c.leaf(ctx)
+        yield ctx[0][0]
     for n_fun in range(1, n):
         n_arg = n - n_fun
         for fun_ctx, arg_ctx in c.split(ctx):
@@ -188,13 +165,13 @@ def _linear(c: _Census, n: int, ctx: Context) -> Iterator[Term]:
         yield Lam(body)
 
 
-def _neutral(c: _Census, n: int, ctx: tuple) -> Iterator[Term]:
+def _neutral(c: _Census, n: int, ctx: Context) -> Iterator[Term]:
     # size n means n + 1 variable occurrences
-    atoms = c.size(ctx)
+    atoms = sum(map(len, ctx))
     if n < 0 or not atoms or atoms > n + 1:
         return
     if n == 0 and atoms == 1:
-        yield c.leaf(ctx)
+        yield ctx[0][0]
     for n_fun in range(n):
         n_arg = n - n_fun
         for fun_ctx, arg_ctx in c.split(ctx):
@@ -206,9 +183,9 @@ def _neutral(c: _Census, n: int, ctx: tuple) -> Iterator[Term]:
                         yield App(fun, arg)
 
 
-def _normal(c: _Census, n: int, ctx: tuple) -> Iterator[Term]:
+def _normal(c: _Census, n: int, ctx: Context) -> Iterator[Term]:
     # a maximal run of r binders over a neutral body one size smaller
-    atoms = c.size(ctx)
+    atoms = sum(map(len, ctx))
     if n < 1 or atoms > n:
         return
     yield from _neutral(c, n - 1, ctx)
@@ -219,12 +196,12 @@ def _normal(c: _Census, n: int, ctx: tuple) -> Iterator[Term]:
             yield body
 
 
-_GRAMMARS: dict[Family, tuple[Rule, Split]] = {
-    Family.LINEAR: (_linear, _subset_splits),
-    Family.NEUTRAL: (_neutral, _subset_splits),
-    Family.NORMAL: (_normal, _subset_splits),
-    Family.PLANAR_NEUTRAL: (_neutral, _block_splits),
-    Family.PLANAR_NORMAL: (_normal, _block_splits),
+_GRAMMARS: dict[Family, tuple[Rule, Join]] = {
+    Family.LINEAR: (_linear, _singletons),
+    Family.NEUTRAL: (_neutral, _singletons),
+    Family.NORMAL: (_normal, _singletons),
+    Family.PLANAR_NEUTRAL: (_neutral, _one_group),
+    Family.PLANAR_NORMAL: (_normal, _one_group),
 }
 
 # Exchange classes are defined for the labeled neutral and normal families.
@@ -240,7 +217,7 @@ def enum_family(family: Family, n: int, k: int) -> Iterator[Term]:
     """
     if n < 0 or k < 0:
         raise ValueError("size and context must be non-negative")
-    return _AtomCensus(family).cell(n, k)
+    return _Census(*_GRAMMARS[family]).cell(n, k)
 
 
 def enum_cells(family: Family, max_n: int) -> Iterator[tuple[int, int, Iterator[Term]]]:
@@ -249,7 +226,7 @@ def enum_cells(family: Family, max_n: int) -> Iterator[tuple[int, int, Iterator[
     Each cell's terms are those of enum_family(family, n, k), in the same
     order, but every cell of one call draws on the same shared sub-results.
     """
-    census = _AtomCensus(family)
+    census = _Census(*_GRAMMARS[family])
     for n in range(max_n + 1):
         for k in range(n + 2):
             yield n, k, census.cell(n, k)
@@ -258,15 +235,16 @@ def enum_cells(family: Family, max_n: int) -> Iterator[tuple[int, int, Iterator[
 def class_cells(family: Family, max_n: int) -> Iterator[tuple[int, int, Iterator[Term]]]:
     """Yield (n, k, representatives) for every cell n <= max_n, k <= n + 1.
 
-    Each cell yields the canonical form (linlam.exchange.canonicalize) of
-    every exchange class of the family's (n, k) cell exactly once, built
-    directly by the class grammar: no other class member is generated and
-    nothing is canonicalized.  Cells stream, and every cell of one call
-    draws on the same shared sub-results.
+    Each cell yields one canonical form (linlam.exchange.canonicalize) per
+    exchange class with unlabeled free variables, exactly once: the one
+    whose free variables first occur in the order 0..k-1.  The class
+    grammar builds it directly, so no other term is generated and nothing
+    is canonicalized.  Cells stream, and every cell of one call draws on
+    the same shared sub-results.
     """
     if family not in _CLASS_RULES:
         raise ValueError("class censuses cover the neutral and normal families")
-    census = _GroupCensus(_CLASS_RULES[family])
+    census = _Census(_CLASS_RULES[family], _new_group)
     return (
         (n, k, census.cell(n, k)) for n in range(max_n + 1) for k in range(n + 2)
     )

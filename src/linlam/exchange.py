@@ -7,10 +7,13 @@ representative therefore sorts every run so the binders occur in
 left-to-right depth-first order of the body, outermost binder first; two
 terms are isomorphic exactly when their canonical forms coincide.
 
-Classes are counted from their canonical forms alone, which the class
-grammar in linlam.enumeration builds directly (class_cells).  Listing the
-members of each class still deduplicates a cell's terms by canonical form
-(class_groups), and the crosscheck compares the two.
+Relabeling the k free variables acts freely on the classes of a cell and
+never moves a binder, so each relabeling orbit (an unlabeled class) holds
+k! classes and exactly one canonical form whose free variables first occur
+in the order 0..k-1.  The class grammar in linlam.enumeration builds those
+forms directly (class_cells), and classes are counted from them alone.
+Listing the members of each class still deduplicates a cell's terms by
+canonical form (class_groups), and the crosscheck compares the two.
 """
 
 from __future__ import annotations
@@ -105,10 +108,10 @@ _CLASS_FAMILIES = (Family.NEUTRAL, Family.NORMAL)
 class ClassCounts:
     """Exchange-class censuses with labeled and unlabeled free variables.
 
-    The labeled table counts the exchange classes, that is the distinct
-    canonical forms, per (size, context) cell; relabeling the k context
-    positions acts freely on classes, so the unlabeled table is the labeled
-    one divided by k!.
+    The unlabeled table counts the relabeling orbits of exchange classes
+    per (size, context) cell.  Relabeling the k context positions acts
+    freely on classes, so the labeled table, the number of distinct
+    canonical forms, is the unlabeled one times k!.
     """
 
     family: Family
@@ -119,23 +122,17 @@ class ClassCounts:
 def count_classes(family: Family, max_n: int) -> ClassCounts:
     """Count the exchange classes of the neutral or normal family, n <= max_n.
 
-    Each class is counted once, by streaming the canonical representatives
-    that enumeration.class_cells constructs; no other class member is
-    generated and nothing is canonicalized.
+    Each unlabeled class is counted once, by streaming the representatives
+    that enumeration.class_cells constructs; no other term is generated and
+    nothing is canonicalized.
     """
     labeled = CountTable(max_n=max_n, provenance=f"classes:{family.value}")
     unlabeled = CountTable(max_n=max_n, provenance=f"classes:{family.value}:unlabeled")
     for n, k, cell in enumeration.class_cells(family, max_n):
         count = sum(1 for _ in cell)
-        if not count:
-            continue
-        labeled.entries[(n, k)] = count
-        q, rem = divmod(count, factorial(k))
-        if rem:
-            raise ArithmeticError(
-                f"class count at ({n}, {k}) is not divisible by {k}!"
-            )
-        unlabeled.entries[(n, k)] = q
+        if count:
+            unlabeled.entries[(n, k)] = count
+            labeled.entries[(n, k)] = factorial(k) * count
     return ClassCounts(family, labeled, unlabeled)
 
 

@@ -11,6 +11,17 @@ from linlam.crosscheck import (
 )
 
 
+def swap_free(t: terms.Term) -> terms.Term:
+    # exchange free positions 0 and 1: the same class, relabeled
+    if isinstance(t, terms.FVar):
+        return terms.FVar(1 - t.index if t.index < 2 else t.index)
+    if isinstance(t, terms.App):
+        return terms.App(swap_free(t.fun), swap_free(t.arg))
+    if isinstance(t, terms.Lam):
+        return terms.Lam(swap_free(t.body))
+    return t
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     return code, capsys.readouterr().out
@@ -206,6 +217,12 @@ class TestUsageErrors:
         assert code == 2
         assert f"--labeled needs the enum producer; {producer} counts unlabeled" in err
 
+    @pytest.mark.parametrize("family", ["normal", "planar-neutral"])
+    def test_labeled_needs_a_class_family(self, capsys, family):
+        code, err = usage_error(capsys, "count", "--family", family, "--labeled")
+        assert code == 2
+        assert f"--labeled counts class families only, not {family}" in err
+
     def test_negative_list_size(self, capsys):
         code, err = usage_error(capsys, "list", "--family", "normal", "--n", "-1")
         assert code == 2
@@ -331,6 +348,10 @@ class TestCrosscheck:
                 enumeration.Family.NEUTRAL, 2, 1, lambda reps: reps + reps[:1],
                 "neutral (n=2, k=1): a representative was constructed twice",
             ),
+            (
+                enumeration.Family.NEUTRAL, 2, 2, lambda reps: [swap_free(reps[0])] + reps[1:],
+                "neutral (n=2, k=2): constructed and dedup representatives differ",
+            ),
         ],
     )
     def test_class_construction_row_is_live(self, monkeypatch, family, n, k, edit, divergence):
@@ -348,6 +369,24 @@ class TestCrosscheck:
         bad = row(run_crosscheck(3))
         assert not bad.ok
         assert bad.divergence == divergence
+
+    def test_class_construction_row_counts_every_relabeling(self, monkeypatch):
+        # dedup losing a class that no constructed form stands for: only
+        # the k! count can see it
+        original = exchange.class_groups
+
+        def tampered(family, n, k=0):
+            groups = original(family, n, k)
+            if (family, n, k) == (enumeration.Family.NEUTRAL, 2, 2):
+                groups.remove(next(g for g in groups if crosscheck._free_order(g[0]) == [1, 0]))
+            return groups
+
+        monkeypatch.setattr(exchange, "class_groups", tampered)
+        bad = next(
+            c for c in run_crosscheck(3).checks if c.name == "classes:construction-vs-dedup"
+        )
+        assert not bad.ok
+        assert bad.divergence == "neutral (n=2, k=2): 2! x 5 constructed != 9 by dedup"
 
     def test_each_map_census_generated_once(self, monkeypatch):
         calls = []

@@ -12,6 +12,7 @@ from linlam.exchange import (
     is_isomorphic,
     local_exchanges,
 )
+from linlam.series import FamilyName, solve
 from linlam.terms import App, FVar, Lam, Term, Var, parse
 
 
@@ -23,6 +24,17 @@ def relabel_free(t: Term, perm) -> Term:
     if isinstance(t, App):
         return App(relabel_free(t.fun, perm), relabel_free(t.arg, perm))
     return Lam(relabel_free(t.body, perm))
+
+
+def free_order(t: Term) -> list[int]:
+    # free positions in depth-first order, function before argument
+    if isinstance(t, FVar):
+        return [t.index]
+    if isinstance(t, App):
+        return free_order(t.fun) + free_order(t.arg)
+    if isinstance(t, Lam):
+        return free_order(t.body)
+    return []
 
 
 def reachable_by_exchanges(t: Term) -> set[Term]:
@@ -166,10 +178,25 @@ class TestCountClasses:
         assert count_classes(Family.NEUTRAL, 3).unlabeled.row(3) == [0, 15, 32, 22, 5]
         assert calls == []
 
-    def test_labeled_is_k_factorial_times_unlabeled(self):
-        counts = count_classes(Family.NEUTRAL, 3)
-        for (n, k), c in counts.labeled.entries.items():
-            assert c == factorial(k) * counts.unlabeled.count(n, k)
+    @pytest.mark.parametrize("family", [Family.NEUTRAL, Family.NORMAL])
+    def test_labeled_counts_the_dedup_classes(self, family):
+        # the labeled table is derived from the unlabeled one; deduplication
+        # counts the labeled classes independently
+        labeled = count_classes(family, 3).labeled
+        for n in range(4):
+            for k in range(n + 2):
+                assert labeled.count(n, k) == len(class_groups(family, n, k)), (n, k)
+
+    def test_neutral_classes_reach_size_6(self):
+        # one form per unlabeled class: 110,410 at size 6, where the labeled
+        # classes number about 3.6 million
+        unlabeled = count_classes(Family.NEUTRAL, 6).unlabeled
+        quotient = solve(FamilyName.QB, 6).series
+        for n in range(7):
+            for k in range(n + 2):
+                assert unlabeled.count(n, k) == quotient.coeff(n, k), (n, k)
+        assert unlabeled.row(6) == [0, 10395, 30669, 36500, 22950, 8178, 1586, 132]
+        assert sum(unlabeled.row(6)) == a000698(8)[7] == 110410
 
 
 class TestClassGroups:
@@ -198,13 +225,18 @@ def a000698(count):
 class TestClassConstruction:
     @pytest.mark.parametrize("family,max_n", [(Family.NEUTRAL, 4), (Family.NORMAL, 5)])
     def test_representatives_are_the_dedup_forms(self, family, max_n):
+        # one canonical form per relabeling orbit: the one whose free
+        # variables first occur in the order 0..k-1
         seen = 0
         for n, k, cell in class_cells(family, max_n):
             built = list(cell)
             assert len(set(built)) == len(built), (n, k)
             assert all(canonicalize(t) == t for t in built), (n, k)
+            assert all(free_order(t) == list(range(k)) for t in built), (n, k)
             forms = {canonicalize(t) for t in enum_family(family, n, k)}
-            assert set(built) == forms, (n, k)
+            in_order = {t for t in forms if free_order(t) == list(range(k))}
+            assert set(built) == in_order, (n, k)
+            assert factorial(k) * len(built) == len(forms), (n, k)
             seen += 1
         assert seen == sum(n + 2 for n in range(max_n + 1))
 
