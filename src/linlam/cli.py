@@ -26,19 +26,7 @@ from .maps import Variant
 from .series import FamilyName
 
 _TERM_FAMILIES = {f.value: f for f in Family}
-_CLASS_FAMILIES = {
-    "classes-neutral": Family.NEUTRAL,
-    "classes-normal": Family.NORMAL,
-}
-_SERIES_FOR_FAMILY = {
-    "linear": FamilyName.L,
-    "neutral": FamilyName.LB,
-    "normal": FamilyName.LR,
-    "planar-neutral": FamilyName.PB,
-    "planar-normal": FamilyName.PR,
-    "classes-neutral": FamilyName.QB,
-    "classes-normal": FamilyName.QR,
-}
+_CLASS_FAMILIES = {f"classes-{f.value}": f for f in enumeration.CLASS_FAMILIES}
 _MAP_VARIANTS = {
     "all": Variant.ALL_GENERA,
     "planar": Variant.PLANAR_ONLY,
@@ -57,7 +45,7 @@ def _emit_sequence(values: list[int], as_json: bool) -> None:
 def _count_table(args: argparse.Namespace) -> enumeration.CountTable:
     name = args.family
     if args.producer == "series":
-        which = _SERIES_FOR_FAMILY[name]
+        which = crosscheck_mod.FAMILY_SERIES[name]
         rows = series.solve(which, args.max_n).series.rows
         entries = {(n, k): c for n, row in enumerate(rows) for k, c in enumerate(row) if c}
         return enumeration.CountTable(args.max_n, entries, f"series:{which.value}")
@@ -206,6 +194,8 @@ def _check_usage(args: argparse.Namespace) -> None:
     least = _LEAST_MAX_N.get(args.command)
     if least is not None and args.max_n < least:
         raise ValueError(f"--max-n must be at least {least}")
+    if args.command == "crosscheck" and (args.cap_override or 0) < 0:
+        raise ValueError("--cap-override must be non-negative")
     if args.command == "list" and min(args.n, args.k) < 0:
         raise ValueError("--n and --k must be non-negative")
     if args.command == "count" and args.labeled:

@@ -17,7 +17,7 @@ from . import enumeration, exchange, maps, series, terms
 from .enumeration import CountTable, Family
 from .maps import Variant
 from .series import FamilyName
-from .terms import Term
+from .terms import FVar, Term
 
 
 @dataclass(frozen=True)
@@ -153,12 +153,15 @@ def _compare_sequences(
     return _compare(name, producers, f"n={first_n}..{first_n + limit - 1}", pairs)
 
 
-_FAMILY_SERIES = {
-    Family.LINEAR: FamilyName.L,
-    Family.NEUTRAL: FamilyName.LB,
-    Family.NORMAL: FamilyName.LR,
-    Family.PLANAR_NEUTRAL: FamilyName.PB,
-    Family.PLANAR_NORMAL: FamilyName.PR,
+# the series that counts each family, by name; class families by the quotient pair
+FAMILY_SERIES = {
+    Family.LINEAR.value: FamilyName.L,
+    Family.NEUTRAL.value: FamilyName.LB,
+    Family.NORMAL.value: FamilyName.LR,
+    Family.PLANAR_NEUTRAL.value: FamilyName.PB,
+    Family.PLANAR_NORMAL.value: FamilyName.PR,
+    "classes-neutral": FamilyName.QB,
+    "classes-normal": FamilyName.QR,
 }
 
 
@@ -230,27 +233,17 @@ def _check_reference_grouping() -> CheckResult:
     )
 
 
-def _free_order(t: Term) -> list[int]:
-    # the free positions of a term in depth-first order, function first
-    if isinstance(t, terms.FVar):
-        return [t.index]
-    if isinstance(t, terms.App):
-        return _free_order(t.fun) + _free_order(t.arg)
-    if isinstance(t, terms.Lam):
-        return _free_order(t.body)
-    return []
-
-
 def _class_construction_problem(top: int) -> str | None:
     # the first cell where construction and deduplication disagree, if any
-    for family in (Family.NEUTRAL, Family.NORMAL):
+    for family in enumeration.CLASS_FAMILIES:
         for n, k, cell in enumeration.class_cells(family, top):
             if n < 1:
                 continue
             built = list(cell)
             distinct = set(built)
             leaders = [group[0] for group in exchange.class_groups(family, n, k)]
-            in_order = {t for t in leaders if _free_order(t) == list(range(k))}
+            free = [FVar(j) for j in range(k)]  # first occurring in the order 0..k-1
+            in_order = {t for t in leaders if list(exchange.occurrences(t)) == free}
             where = f"{family.value} (n={n}, k={k})"
             if len(distinct) != len(built):
                 return f"{where}: a representative was constructed twice"
@@ -293,10 +286,10 @@ def run_crosscheck(
 ) -> CrossCheckReport:
     """Run every producer agreement check and reference comparison.
 
-    Enumeration runs to min(max_n, enum_cap); the all-genera and planar map
-    censuses run to min(max_n, maps_cap); trivalent censuses cover closed
-    sizes m while 3(m - 1) stays within trivalent_edge_cap.  Series always
-    reach series_trunc.
+    Enumeration runs to min(max_n, enum_cap); the all-genera map census,
+    whose genus-0 maps are the planar census, runs to min(max_n, maps_cap);
+    trivalent censuses cover closed sizes 2 <= m <= max_n with 3(m - 1)
+    within trivalent_edge_cap.  Series always reach series_trunc.
     """
     enum_n = min(max_n, enum_cap)
     maps_n = min(max_n, maps_cap)
@@ -310,23 +303,24 @@ def run_crosscheck(
     )
 
     # one solve per equation system: L alone, and each mutual pair once
-    solutions: dict[FamilyName, series.BiSeries] = {}
-    for name in (FamilyName.L, FamilyName.LB, FamilyName.PB, FamilyName.QB):
-        solutions.update(series.solve(name, trunc).system)
+    systems = (FamilyName.L, FamilyName.LB, FamilyName.PB, FamilyName.QB)
+    solved = [series.solve(name, trunc) for name in systems]
+    solutions = {which: s for sol in solved for which, s in sol.system.items()}
+    checked = {equation: cells for sol in solved for equation, cells in sol.checked.items()}
 
     neutral_classes = exchange.count_classes(Family.NEUTRAL, enum_n)
     normal_classes = exchange.count_classes(Family.NORMAL, enum_n)
 
     # enumeration against the series coefficients, bivariately
     enum_tables: dict[Family, CountTable] = {}
-    for family, which in _FAMILY_SERIES.items():
+    for family in Family:
         table = enum_tables[family] = enumeration.count_family(family, enum_n)
         report.checks.append(
             _compare_cells(
                 f"enum-vs-series:{family.value}",
                 "enumeration vs series",
                 table.count,
-                solutions[which].coeff,
+                solutions[FAMILY_SERIES[family.value]].coeff,
                 enum_n,
             )
         )
@@ -343,46 +337,39 @@ def run_crosscheck(
         _compare_sequences(
             "classes-vs-series:normal-closed",
             "class grammar vs quotient series",
-            normal_classes.labeled.closed_sequence(1, enum_n),
+            normal_classes.unlabeled.closed_sequence(1, enum_n),
             solutions[FamilyName.QR].closed_sequence(1, enum_n),
         ),
     ]
 
-    # solve checks the fixpoint equation B(z,x) = x + z B(z,x) B(z,x+1);
-    # re-derive it here so the agreement is visible in the report
-    qb = solutions[FamilyName.QB]
-    x = series.BiSeries(series.Flavor.OGF, [[0, 1]], trunc=trunc)
-    fixpoint = x.add(qb.mul(qb.taylor_shift()).z_shift())
-    report.checks += [
-        _compare_cells(
-            "series:quotient-route-agreement",
-            "mutual pair vs fixpoint equation",
-            qb.coeff,
-            fixpoint.coeff,
-            trunc,
-        ),
-        _compare_sequences(
-            "series:closed-quotient-shift",
-            "closed normal classes vs shifted neutral row sums",
-            solutions[FamilyName.QR].closed_sequence(1, trunc),
-            qb.eval_x(1)[:-1],
-        ),
+    # solve checked the fixpoint equation B(z,x) = x + z B(z,x) B(z,x+1) and
+    # the closed column it implies; these rows report the cells it compared
+    equation_rows = [
+        ("series:quotient-route-agreement", "mutual pair vs fixpoint equation",
+         f"n<={trunc}", series.FIXPOINT),
+        ("series:closed-quotient-shift", "closed normal classes vs shifted neutral row sums",
+         f"n=1..{trunc}", series.CLOSED_SHIFT),
     ]
+    for name, producers, indices, equation in equation_rows:
+        problem = None if checked[equation] else "compared nothing"
+        report.checks.append(_row(name, producers, indices, problem))
 
     # map censuses: triple agreement with the quotient series and the classes.
     # One pass over each all-genera census tallies the (edges, vertices)
-    # table and checks every map's genus and, as the census never consults
-    # canonical_code, that no two maps share a code
+    # table, counts its genus-0 maps, checks every map's genus and, as the
+    # census never consults canonical_code, that no two maps share a code
     census = CountTable(max_n=maps_n, provenance="maps:all")
+    planar_totals = []
     parity_problem = None
     repeat_problem = None
     for n in range(1, maps_n + 1):
         codes: dict[bytes, maps.RootedMap] = {}
+        planar_totals.append(0)
         for m in maps.census_maps(n, Variant.ALL_GENERA, cap_override=maps_cap):
             key = (n, m.n_vertices)
             census.entries[key] = census.entries.get(key, 0) + 1
             try:
-                maps.genus(m)
+                planar_totals[-1] += maps.genus(m) == 0
             except ArithmeticError as err:
                 parity_problem = parity_problem or f"map {m.to_text()}: {err}"
             twin = codes.setdefault(maps.canonical_code(m), m)
@@ -390,10 +377,6 @@ def run_crosscheck(
                 repeat_problem = f"maps {twin.to_text()} and {m.to_text()} are isomorphic"
     if not census.total():
         parity_problem = repeat_problem = "compared nothing"
-    planar_totals = [
-        maps.census(n, Variant.PLANAR_ONLY, cap_override=maps_cap).total()
-        for n in range(1, maps_n + 1)
-    ]
 
     # maps start at one edge
     report.checks += [
@@ -479,7 +462,7 @@ def run_crosscheck(
         (
             "references:classes-quotient",
             "class grammar vs embedded prefix",
-            normal_classes.labeled.closed_sequence(1, enum_n),
+            normal_classes.unlabeled.closed_sequence(1, enum_n),
             quotient,
         ),
         (

@@ -205,7 +205,7 @@ _GRAMMARS: dict[Family, tuple[Rule, Join]] = {
 }
 
 # Exchange classes are defined for the labeled neutral and normal families.
-_CLASS_RULES: dict[Family, Rule] = {Family.NEUTRAL: _neutral, Family.NORMAL: _normal}
+CLASS_FAMILIES = (Family.NEUTRAL, Family.NORMAL)
 
 
 def enum_family(family: Family, n: int, k: int) -> Iterator[Term]:
@@ -242,9 +242,9 @@ def class_cells(family: Family, max_n: int) -> Iterator[tuple[int, int, Iterator
     is canonicalized.  Cells stream, and every cell of one call draws on
     the same shared sub-results.
     """
-    if family not in _CLASS_RULES:
+    if family not in CLASS_FAMILIES:
         raise ValueError("class censuses cover the neutral and normal families")
-    census = _Census(_CLASS_RULES[family], _new_group)
+    census = _Census(_GRAMMARS[family][0], _new_group)
     return (
         (n, k, census.cell(n, k)) for n in range(max_n + 1) for k in range(n + 2)
     )

@@ -21,9 +21,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import factorial
+from typing import Iterator
 
 from . import enumeration
-from .enumeration import CountTable, Family, enum_family
+from .enumeration import CLASS_FAMILIES, CountTable, Family, enum_family
 from .terms import App, FVar, Lam, Term, Var
 
 
@@ -52,17 +53,21 @@ def local_exchanges(t: Term) -> list[Term]:
     return out
 
 
-def _occurrences(t: Term, depth: int, block: int, out: list[int]) -> None:
-    # depth-first walk, function before argument, collecting block binders
+def occurrences(t: Term, depth: int = 0) -> Iterator[Var | FVar]:
+    """The variables of t not bound inside it, depth first, function before argument.
+
+    Each is seen from depth binders above t: Var(b) is the binder b levels
+    up from there, and a free variable is its FVar."""
     if isinstance(t, Var):
-        b = t.index - depth
-        if 0 <= b < block:
-            out.append(b)
+        if t.index >= depth:
+            yield Var(t.index - depth)
+    elif isinstance(t, FVar):
+        yield t
     elif isinstance(t, App):
-        _occurrences(t.fun, depth, block, out)
-        _occurrences(t.arg, depth, block, out)
-    elif isinstance(t, Lam):
-        _occurrences(t.body, depth + 1, block, out)
+        yield from occurrences(t.fun, depth)
+        yield from occurrences(t.arg, depth)
+    else:
+        yield from occurrences(t.body, depth + 1)
 
 
 def canonicalize(t: Term) -> Term:
@@ -81,8 +86,7 @@ def canonicalize(t: Term) -> Term:
         block += 1
         body = body.body
     body = canonicalize(body)
-    order: list[int] = []
-    _occurrences(body, 0, block, order)
+    order = [v.index for v in occurrences(body) if isinstance(v, Var) and v.index < block]
     if len(order) != block:
         raise ValueError("canonicalize requires a linear term")
     perm = {b: block - 1 - rank for rank, b in enumerate(order)}
@@ -99,9 +103,6 @@ def is_isomorphic(t1: Term, t2: Term) -> bool:
 
 # ---------------------------------------------------------------------------
 # Class censuses
-
-
-_CLASS_FAMILIES = (Family.NEUTRAL, Family.NORMAL)
 
 
 @dataclass
@@ -143,7 +144,7 @@ def class_groups(family: Family, n: int, k: int = 0) -> list[list[Term]]:
     group the canonical representative leads and the remaining members keep
     enumeration order.
     """
-    if family not in _CLASS_FAMILIES:
+    if family not in CLASS_FAMILIES:
         raise ValueError("class listings cover the neutral and normal families")
     groups: dict[Term, list[Term]] = {}
     for t in enum_family(family, n, k):

@@ -63,16 +63,7 @@ def cycles(p: Sequence[int]) -> list[list[int]]:
 
 
 def cycle_count(p: Sequence[int]) -> int:
-    seen = [False] * len(p)
-    n = 0
-    for start in range(len(p)):
-        if not seen[start]:
-            n += 1
-            d = start
-            while not seen[d]:
-                seen[d] = True
-                d = p[d]
-    return n
+    return len(cycles(p))
 
 
 def cycles_to_text(p: Sequence[int]) -> str:

@@ -56,7 +56,7 @@ same-order derivative (LB/LR, PB/PR) it is triangular in the x-degree and
 falls to back-substitution from the top degree down; for the exchange
 classes (QB/QR) it is the Taylor shift, so B(z,x) = x + z B(z,x) B(z,x+1).
 Every solution is re-checked, exactly, against its defining equations
-before being returned.
+before being returned, and records each equation with the cells it compared.
 """
 
 from __future__ import annotations
@@ -375,21 +375,9 @@ class BiSeries:
         rows = [[] for _ in range(by)] + self.rows[: self.trunc + 1 - by]
         return self._like(rows)
 
-    def eval_x(self, value: int) -> list[int]:
-        """Evaluate each z-row at a literal x value (OGF reading)."""
-        return [sum(c * value**k for k, c in enumerate(row)) for row in self.rows]
-
     def closed_sequence(self, first: int = 1, last: int | None = None) -> list[int]:
         last = self.trunc if last is None else last
         return [self.coeff(n, 0) for n in range(first, last + 1)]
-
-
-def _x_series(flavor: Flavor, trunc: int) -> BiSeries:
-    return BiSeries(flavor, [[0, 1]], trunc=trunc)
-
-
-def _zx_series(trunc: int) -> BiSeries:
-    return BiSeries(Flavor.EGF, [[], [0, 1]], trunc=trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -431,38 +419,55 @@ _PAIRS = (
 
 @dataclass(frozen=True)
 class FamilySolution:
-    """One family's series, and every series solved with it (both halves of a pair)."""
+    """One family's series, every series solved with it (both halves of a
+    pair), and checked: each equation the solve verified -> cells compared."""
 
     which: FamilyName
     series: BiSeries
     system: dict[FamilyName, BiSeries]
+    checked: dict[str, int]
 
 
-def _verify_linear(s: BiSeries) -> None:
-    rhs = _zx_series(s.trunc).add(s.mul(s)).add(s.d_dx())
-    if s != rhs:
-        raise ArithmeticError("linear family solution fails its equation")
+# the names the quotient pair's record gives its fixpoint equation and closed column
+FIXPOINT = "QB = x + z QB QB(x+1)"
+CLOSED_SHIFT = "QR(x=0) = z QB(x=1)"
 
 
-def _verify_pair(b: BiSeries, r: BiSeries, egf: bool) -> None:
-    if b != _x_series(b.flavor, b.trunc).add(b.mul(r)):
-        raise ArithmeticError("neutral family solution fails its equation")
-    deriv = r.d_dx() if egf else r.discrete_d()
-    if r != b.z_shift().add(deriv):
-        raise ArithmeticError("normal family solution fails its equation")
+def _cells(got: BiSeries, want: BiSeries, failure: str) -> int:
+    """How many cells of got (k <= n + 1, or a longer row's) equal want's; raise unless all."""
+    if got != want:
+        raise ArithmeticError(failure)
+    return sum(max(n + 2, len(row)) for n, row in enumerate(got.rows))
 
 
-def _verify_quotient(b: BiSeries, r: BiSeries) -> None:
+def _verify_linear(s: BiSeries) -> dict[str, int]:
+    rhs = BiSeries(Flavor.EGF, [[], [0, 1]], trunc=s.trunc).add(s.mul(s)).add(s.d_dx())
+    return {"L = zx + L^2 + dL/dx": _cells(s, rhs, "linear family solution fails its equation")}
+
+
+def _verify_pair(b: BiSeries, r: BiSeries, egf: bool, pair) -> dict[str, int]:
+    nb, nr = (name.value for name in pair)
+    neutral = BiSeries(b.flavor, [[0, 1]], trunc=b.trunc).add(b.mul(r))
+    deriv, dr = (r.d_dx(), f"d{nr}/dx") if egf else (r.discrete_d(), f"({nr} - {nr}(x=0))/x")
+    normal = b.z_shift().add(deriv)
+    return {
+        f"{nb} = x + {nb} {nr}": _cells(b, neutral, "neutral family solution fails its equation"),
+        f"{nr} = z {nb} + {dr}": _cells(r, normal, "normal family solution fails its equation"),
+    }
+
+
+def _verify_quotient(b: BiSeries, r: BiSeries) -> dict[str, int]:
     shifted = b.taylor_shift()
-    if b != _x_series(Flavor.OGF, b.trunc).add(b.mul(shifted).z_shift()):
-        raise ArithmeticError("quotient solution fails its fixpoint equation")
-    if r != shifted.z_shift():
-        raise ArithmeticError("quotient abstraction rule fails")
+    fixpoint = BiSeries(Flavor.OGF, [[0, 1]], trunc=b.trunc).add(b.mul(shifted).z_shift())
+    checked = {
+        FIXPOINT: _cells(b, fixpoint, "quotient solution fails its fixpoint equation"),
+        "QR = z QB(x+1)": _cells(r, shifted.z_shift(), "quotient abstraction rule fails"),
+    }
     # closed normal classes match the shifted row sums of the neutral classes
-    evaluated = b.eval_x(1)
-    for n in range(1, b.trunc + 1):
-        if r.coeff(n, 0) != evaluated[n - 1]:
-            raise ArithmeticError("closed quotient column disagrees with row sums")
+    closed = r.closed_sequence(1)
+    if closed != [sum(row) for row in b.rows[:-1]]:
+        raise ArithmeticError("closed quotient column disagrees with row sums")
+    return {**checked, CLOSED_SHIFT: len(closed)}
 
 
 def solve(which: FamilyName | str, trunc: int = 12) -> FamilySolution:
@@ -471,15 +476,16 @@ def solve(which: FamilyName | str, trunc: int = 12) -> FamilySolution:
     All coefficients are exact integers.  A mutual pair is solved once for
     both of its families, which the solution's system carries.  The
     solution is checked against its defining equations before returning; a
-    failure raises ArithmeticError.
+    failure raises ArithmeticError.  The record, checked, maps each
+    equation of the system to its cells compared: the (trunc + 1)(trunc + 4)/2
+    cells k <= n + 1 of a series, or the trunc of the closed column.
     """
     which = FamilyName(which) if isinstance(which, str) else which
     if trunc < 0:
         raise ValueError("truncation must be non-negative")
     if which is FamilyName.L:
         series = BiSeries(Flavor.EGF, _rows_linear(trunc), trunc=trunc)
-        _verify_linear(series)
-        return FamilySolution(which, series, {which: series})
+        return FamilySolution(which, series, {which: series}, _verify_linear(series))
     pair = next(p for p in _PAIRS if which in p)
     quotient = pair[0] is FamilyName.QB
     egf = pair[0] is FamilyName.LB
@@ -488,12 +494,9 @@ def solve(which: FamilyName | str, trunc: int = 12) -> FamilySolution:
     # same-order derivative, back-substituted under the degree bound n
     abstract = (lambda row, n: _taylor_shift_row(row)) if quotient else _back_substitute
     b, r = (BiSeries(flavor, rows, trunc=trunc) for rows in _rows_pair(trunc, egf, abstract))
-    if quotient:
-        _verify_quotient(b, r)
-    else:
-        _verify_pair(b, r, egf)
+    checked = _verify_quotient(b, r) if quotient else _verify_pair(b, r, egf, pair)
     system = dict(zip(pair, (b, r)))
-    return FamilySolution(which, system[which], system)
+    return FamilySolution(which, system[which], system, checked)
 
 
 # ---------------------------------------------------------------------------

@@ -207,6 +207,11 @@ class TestUsageErrors:
         assert code == 2
         assert "only counts classes-neutral" in err
 
+    def test_negative_crosscheck_cap(self, capsys):
+        code, err = usage_error(capsys, "crosscheck", "--max-n", "2", "--cap-override", "-1")
+        assert code == 2
+        assert "--cap-override must be non-negative" in err
+
 
     @pytest.mark.parametrize("producer", ["series", "maps"])
     def test_labeled_needs_enum_producer(self, capsys, producer):
@@ -378,7 +383,10 @@ class TestCrosscheck:
         def tampered(family, n, k=0):
             groups = original(family, n, k)
             if (family, n, k) == (enumeration.Family.NEUTRAL, 2, 2):
-                groups.remove(next(g for g in groups if crosscheck._free_order(g[0]) == [1, 0]))
+                swapped = [terms.FVar(1), terms.FVar(0)]
+                groups.remove(
+                    next(g for g in groups if list(exchange.occurrences(g[0])) == swapped)
+                )
             return groups
 
         monkeypatch.setattr(exchange, "class_groups", tampered)
@@ -400,6 +408,67 @@ class TestCrosscheck:
         assert run_crosscheck(3).ok
         assert len(calls) == len(set(calls))
         assert [n for n, v in calls if v is maps.Variant.ALL_GENERA] == [1, 2, 3]
+
+    def test_each_map_walked_once(self, monkeypatch):
+        # one all-genera census per edge count serves every map row, the
+        # planar one included, and each map's genus is computed once
+        dart_counts = []
+        genera = []
+        sigmas, genus = maps._sigmas, maps.genus
+
+        def sigmas_spy(dart_count):
+            dart_counts.append(dart_count)
+            return sigmas(dart_count)
+
+        def genus_spy(m):
+            genera.append(m)
+            return genus(m)
+
+        monkeypatch.setattr(maps, "_sigmas", sigmas_spy)
+        monkeypatch.setattr(maps, "genus", genus_spy)
+        assert run_crosscheck(3).ok
+        assert dart_counts == [2, 4, 6]
+        assert len(genera) == 2 + 10 + 74
+
+    def test_no_series_product_outside_solve(self, monkeypatch):
+        # the equation rows report what solve checked; nothing re-derives them
+        solving = []
+        products = []
+        solve, mul = series.solve, series.BiSeries.mul
+
+        def solve_spy(which, trunc=12):
+            solving.append(which)
+            try:
+                return solve(which, trunc)
+            finally:
+                solving.pop()
+
+        def mul_spy(self, other):
+            products.append(bool(solving))
+            return mul(self, other)
+
+        monkeypatch.setattr(series, "solve", solve_spy)
+        monkeypatch.setattr(series.BiSeries, "mul", mul_spy)
+        assert run_crosscheck(3).ok
+        assert products and all(products)
+
+    @pytest.mark.parametrize(
+        "row,equation",
+        [
+            ("series:quotient-route-agreement", "FIXPOINT"),
+            ("series:closed-quotient-shift", "CLOSED_SHIFT"),
+        ],
+    )
+    def test_equation_rows_read_the_solve_record(self, monkeypatch, row, equation):
+        real = series._verify_quotient
+
+        def nothing_compared(b, r):
+            return {**real(b, r), getattr(series, equation): 0}
+
+        monkeypatch.setattr(series, "_verify_quotient", nothing_compared)
+        checks = {c.name: c for c in run_crosscheck(2).checks}
+        assert checks[row].divergence == "compared nothing"
+        assert [c.name for c in checks.values() if not c.ok] == [row]
 
     def test_each_equation_system_solved_once(self, monkeypatch):
         calls = []

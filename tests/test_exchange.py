@@ -198,6 +198,15 @@ class TestCountClasses:
         assert unlabeled.row(6) == [0, 10395, 30669, 36500, 22950, 8178, 1586, 132]
         assert sum(unlabeled.row(6)) == a000698(8)[7] == 110410
 
+    def test_normal_classes_match_the_quotient_series(self):
+        # the crosscheck compares only the closed column of the normal classes
+        unlabeled = count_classes(Family.NORMAL, 5).unlabeled
+        quotient = solve(FamilyName.QR, 5).series
+        for n in range(6):
+            for k in range(n + 2):
+                assert unlabeled.count(n, k) == quotient.coeff(n, k), (n, k)
+        assert unlabeled.row(5) == [706, 1769, 1660, 746, 163, 14, 0]
+
 
 class TestClassGroups:
     def test_group_sizes_at_size_3(self):

@@ -174,6 +174,29 @@ class TestInvariants:
             assert series._form(row, True).den == 1
 
 
+WINDOW_9 = 10 * 13 // 2  # the cells k <= n + 1 of a series to order 9
+SYSTEM_RECORDS = {
+    FamilyName.L: {"L = zx + L^2 + dL/dx": WINDOW_9},
+    FamilyName.LB: {"LB = x + LB LR": WINDOW_9, "LR = z LB + dLR/dx": WINDOW_9},
+    FamilyName.PB: {"PB = x + PB PR": WINDOW_9, "PR = z PB + (PR - PR(x=0))/x": WINDOW_9},
+    FamilyName.QB: {
+        "QB = x + z QB QB(x+1)": WINDOW_9,
+        "QR = z QB(x+1)": WINDOW_9,
+        "QR(x=0) = z QB(x=1)": 9,
+    },
+}
+SYSTEM_RECORDS[FamilyName.LR] = SYSTEM_RECORDS[FamilyName.LB]
+SYSTEM_RECORDS[FamilyName.PR] = SYSTEM_RECORDS[FamilyName.PB]
+SYSTEM_RECORDS[FamilyName.QR] = SYSTEM_RECORDS[FamilyName.QB]
+
+
+@pytest.mark.parametrize("which", list(FamilyName))
+def test_solve_records_its_equation_checks(which):
+    # every equation of the family's system, in the order checked, with its cells
+    checked = solve(which, 9).checked
+    assert list(checked.items()) == list(SYSTEM_RECORDS[which].items())
+
+
 def test_csv_export():
     lines = solution_to_csv(solve(FamilyName.QB, 2)).strip().splitlines()
     assert lines[0] == "family,n,k,coeff"
