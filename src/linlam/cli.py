@@ -11,6 +11,10 @@ Subcommands:
 `count --closed` and `series-table --closed` print one number per line so
 the output diffs directly against published sequence prefixes.  Exit status
 is 1 when a crosscheck diverges, 2 on usage errors.
+
+The parser takes its choices from linlam.names, which loads no layer, and
+each command imports the layers it runs when it runs: `--help` loads none,
+and `series-table` only the series.
 """
 
 from __future__ import annotations
@@ -19,19 +23,11 @@ import argparse
 import json
 import sys
 
-from . import crosscheck as crosscheck_mod
-from . import enumeration, exchange, maps, series, terms
-from .enumeration import Family
-from .maps import Variant
-from .series import FamilyName
+from .names import CLASS_FAMILIES, FAMILY_SERIES, Family, FamilyName, Variant
 
 _TERM_FAMILIES = {f.value: f for f in Family}
-_CLASS_FAMILIES = {f"classes-{f.value}": f for f in enumeration.CLASS_FAMILIES}
-_MAP_VARIANTS = {
-    "all": Variant.ALL_GENERA,
-    "planar": Variant.PLANAR_ONLY,
-    "trivalent": Variant.TRIVALENT,
-}
+_CLASS_FAMILIES = {f"classes-{f.value}": f for f in CLASS_FAMILIES}
+_MAP_VARIANTS = {v.value: v for v in Variant}
 
 
 def _emit_sequence(values: list[int], as_json: bool) -> None:
@@ -42,14 +38,17 @@ def _emit_sequence(values: list[int], as_json: bool) -> None:
             print(v)
 
 
-def _count_table(args: argparse.Namespace) -> enumeration.CountTable:
+def _count_table(args: argparse.Namespace):
+    from . import enumeration
     name = args.family
     if args.producer == "series":
-        which = crosscheck_mod.FAMILY_SERIES[name]
+        from . import series
+        which = FAMILY_SERIES[name]
         rows = series.solve(which, args.max_n).series.rows
         entries = {(n, k): c for n, row in enumerate(rows) for k, c in enumerate(row) if c}
         return enumeration.CountTable(args.max_n, entries, f"series:{which.value}")
     if args.producer == "maps":
+        from . import maps
         table = enumeration.CountTable(max_n=args.max_n, provenance="maps:all-genera")
         for n in range(1, args.max_n + 1):
             table.entries.update(
@@ -57,6 +56,7 @@ def _count_table(args: argparse.Namespace) -> enumeration.CountTable:
             )
         return table
     if name in _CLASS_FAMILIES:
+        from . import exchange
         counts = exchange.count_classes(_CLASS_FAMILIES[name], args.max_n)
         return counts.labeled if args.labeled else counts.unlabeled
     return enumeration.count_family(_TERM_FAMILIES[name], args.max_n)
@@ -74,17 +74,20 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_list(args: argparse.Namespace) -> int:
+    from . import terms
     k = 0 if args.closed else args.k
     show = terms.to_ascii if args.ascii else (
         lambda t: terms.render(t, terms.default_context(k))
     )
     if args.family in _CLASS_FAMILIES:
+        from . import exchange
         groups = exchange.class_groups(_CLASS_FAMILIES[args.family], args.n, k)
         if args.json:
             sys.stdout.write(exchange.groups_to_json(groups, show))
         else:
             sys.stdout.write(exchange.groups_to_text(groups, show))
         return 0
+    from . import enumeration
     family = _TERM_FAMILIES[args.family]
     listed = [show(t) for t in enumeration.enum_family(family, args.n, k)]
     if args.json:
@@ -96,16 +99,18 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 
 def cmd_crosscheck(args: argparse.Namespace) -> int:
+    from . import crosscheck
     kwargs = {}
     if args.cap_override is not None:
         kwargs["enum_cap"] = args.cap_override
         kwargs["maps_cap"] = args.cap_override
-    report = crosscheck_mod.run_crosscheck(args.max_n, **kwargs)
+    report = crosscheck.run_crosscheck(args.max_n, **kwargs)
     sys.stdout.write(report.to_json() if args.json else report.to_text())
     return 0 if report.ok else 1
 
 
 def cmd_series_table(args: argparse.Namespace) -> int:
+    from . import series
     sol = series.solve(FamilyName(args.family), args.max_n)
     if args.closed:
         _emit_sequence(sol.series.closed_sequence(1, args.max_n), args.json)
@@ -117,6 +122,7 @@ def cmd_series_table(args: argparse.Namespace) -> int:
 
 
 def cmd_maps_census(args: argparse.Namespace) -> int:
+    from . import maps
     variant = _MAP_VARIANTS[args.variant]
     if args.list:
         reps = maps.census_maps(args.edges, variant, cap_override=args.cap_override)
@@ -142,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    all_families = sorted(_TERM_FAMILIES) + sorted(_CLASS_FAMILIES)
+    all_families = [*_TERM_FAMILIES, *_CLASS_FAMILIES]
 
     p = sub.add_parser("count", help="count a family by size and free variables")
     p.add_argument("--family", required=True, choices=all_families)
@@ -177,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("maps-census", help="count rooted maps with a given edge count")
     p.add_argument("--edges", type=int, required=True)
-    p.add_argument("--variant", choices=sorted(_MAP_VARIANTS), default="all")
+    p.add_argument("--variant", choices=list(_MAP_VARIANTS), default="all")
     p.add_argument("--cap-override", type=int, default=None)
     p.add_argument("--list", action="store_true", help="print one map per line instead")
     p.add_argument("--json", action="store_true")
@@ -190,7 +196,7 @@ _LEAST_MAX_N = {"count": 0, "series-table": 0, "crosscheck": 1}
 
 
 def _check_usage(args: argparse.Namespace) -> None:
-    """Raise ValueError for out-of-range sizes and map censuses."""
+    """Raise ValueError for out-of-range sizes, map censuses and unused caps."""
     least = _LEAST_MAX_N.get(args.command)
     if least is not None and args.max_n < least:
         raise ValueError(f"--max-n must be at least {least}")
@@ -204,11 +210,16 @@ def _check_usage(args: argparse.Namespace) -> None:
         if args.producer != "enum":
             raise ValueError(f"--labeled needs the enum producer; {args.producer} counts unlabeled")
     if args.command == "maps-census":
+        from . import maps
         maps.check_edge_count(args.edges, _MAP_VARIANTS[args.variant], args.cap_override)
-    elif args.command == "count" and args.producer == "maps":
+    elif args.command == "count" and args.producer != "maps":
+        if args.cap_override is not None:
+            raise ValueError(f"--cap-override caps the maps producer only, not {args.producer}")
+    elif args.command == "count":
         if args.family != "classes-neutral":
             raise ValueError("the maps producer only counts classes-neutral (edges, vertices)")
         if args.max_n >= 1:
+            from . import maps
             maps.check_edge_count(args.max_n, Variant.ALL_GENERA, args.cap_override)
 
 

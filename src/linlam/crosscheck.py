@@ -14,9 +14,8 @@ from dataclasses import asdict, dataclass, field
 from math import factorial
 
 from . import enumeration, exchange, maps, series, terms
-from .enumeration import CountTable, Family
-from .maps import Variant
-from .series import FamilyName
+from .enumeration import CountTable
+from .names import FAMILY_SERIES, Family, FamilyName, Variant
 from .terms import FVar, Term
 
 
@@ -151,18 +150,6 @@ def _compare_sequences(
     limit = min(len(got), len(want))
     pairs = ((f"n={first_n + i}", got[i], want[i]) for i in range(limit))
     return _compare(name, producers, f"n={first_n}..{first_n + limit - 1}", pairs)
-
-
-# the series that counts each family, by name; class families by the quotient pair
-FAMILY_SERIES = {
-    Family.LINEAR.value: FamilyName.L,
-    Family.NEUTRAL.value: FamilyName.LB,
-    Family.NORMAL.value: FamilyName.LR,
-    Family.PLANAR_NEUTRAL.value: FamilyName.PB,
-    Family.PLANAR_NORMAL.value: FamilyName.PR,
-    "classes-neutral": FamilyName.QB,
-    "classes-normal": FamilyName.QR,
-}
 
 
 def _check_reference_terms(enum_cap: int) -> CheckResult:

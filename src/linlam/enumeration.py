@@ -42,20 +42,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cache
 from itertools import accumulate, chain, product
 from typing import Callable, Iterator
 
+from .names import CLASS_FAMILIES, Family
 from .terms import App, FVar, Lam, Term, Var
-
-
-class Family(Enum):
-    LINEAR = "linear"
-    NEUTRAL = "neutral"
-    NORMAL = "normal"
-    PLANAR_NEUTRAL = "planar-neutral"
-    PLANAR_NORMAL = "planar-normal"
 
 
 Atom = FVar | Var
@@ -203,9 +195,6 @@ _GRAMMARS: dict[Family, tuple[Rule, Join]] = {
     Family.PLANAR_NEUTRAL: (_neutral, _one_group),
     Family.PLANAR_NORMAL: (_normal, _one_group),
 }
-
-# Exchange classes are defined for the labeled neutral and normal families.
-CLASS_FAMILIES = (Family.NEUTRAL, Family.NORMAL)
 
 
 def enum_family(family: Family, n: int, k: int) -> Iterator[Term]:

@@ -18,18 +18,12 @@ independent isomorphism test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterator, Sequence
 
 from .enumeration import CountTable
+from .names import Variant
 
 Perm = tuple[int, ...]
-
-
-class Variant(Enum):
-    ALL_GENERA = "all"
-    PLANAR_ONLY = "planar"
-    TRIVALENT = "trivalent"
 
 
 DEFAULT_EDGE_CAPS = {

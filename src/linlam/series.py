@@ -67,20 +67,12 @@ from enum import Enum
 from itertools import zip_longest
 from math import gcd, lcm
 
+from .names import FamilyName
+
 
 class Flavor(Enum):
     EGF = "egf"
     OGF = "ogf"
-
-
-class FamilyName(Enum):
-    L = "L"  # all linear terms
-    LB = "LB"  # neutral terms
-    LR = "LR"  # normal terms
-    PB = "PB"  # planar neutral terms
-    PR = "PR"  # planar normal terms
-    QB = "QB"  # neutral exchange classes
-    QR = "QR"  # normal exchange classes
 
 
 # ---------------------------------------------------------------------------

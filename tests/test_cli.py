@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from linlam import cli, crosscheck, enumeration, exchange, maps, series, terms
+from linlam import cli, crosscheck, enumeration, exchange, maps, names, series, terms
 from linlam.crosscheck import (
     NORMAL_CLASS_GROUPS_UP_TO_SIZE_3,
     NORMAL_TERMS_UP_TO_SIZE_3,
@@ -212,6 +213,16 @@ class TestUsageErrors:
         assert code == 2
         assert "--cap-override must be non-negative" in err
 
+    @pytest.mark.parametrize(
+        "family, producer", [("linear", "enum"), ("classes-normal", "enum"), ("linear", "series")]
+    )
+    def test_cap_override_needs_maps_producer(self, capsys, family, producer):
+        code, err = usage_error(
+            capsys, "count", "--family", family, "--producer", producer,
+            "--max-n", "2", "--cap-override", "3",
+        )
+        assert code == 2
+        assert f"--cap-override caps the maps producer only, not {producer}" in err
 
     @pytest.mark.parametrize("producer", ["series", "maps"])
     def test_labeled_needs_enum_producer(self, capsys, producer):
@@ -254,6 +265,37 @@ class TestUsageErrors:
         code, err = usage_error(capsys, "crosscheck", "--max-n", "0")
         assert code == 2
         assert "--max-n must be at least 1" in err
+
+
+def option_choices(command, option):
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    action = next(a for a in commands.choices[command]._actions if option in a.option_strings)
+    return list(action.choices)
+
+
+class TestParserChoices:
+    """Every choice comes from linlam.names, in the order the enums list them."""
+
+    FAMILIES = ["linear", "neutral", "normal", "planar-neutral", "planar-normal",
+                "classes-neutral", "classes-normal"]
+
+    @pytest.mark.parametrize("command", ["count", "list"])
+    def test_families(self, command):
+        from_names = [f.value for f in names.Family]
+        from_names += [f"classes-{f.value}" for f in names.CLASS_FAMILIES]
+        assert option_choices(command, "--family") == from_names == self.FAMILIES
+        assert list(names.FAMILY_SERIES) == self.FAMILIES
+
+    def test_series(self):
+        from_names = [f.value for f in names.FamilyName]
+        assert option_choices("series-table", "--family") == from_names
+        assert from_names == ["L", "LB", "LR", "PB", "PR", "QB", "QR"]
+
+    def test_variants(self):
+        from_names = [v.value for v in names.Variant]
+        assert option_choices("maps-census", "--variant") == from_names
+        assert from_names == ["all", "planar", "trivalent"]
 
 
 class TestCrosscheck:

@@ -1,0 +1,91 @@
+"""Importing the package loads no layer; each command loads only the layers it runs."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import linlam
+from linlam import crosscheck, enumeration, maps, names, series
+
+ROOT = Path(__file__).resolve().parents[1]
+LAYERS = {"terms", "enumeration", "exchange", "maps", "series", "crosscheck"}
+
+# run cli.main on the arguments, then print the linlam submodules it loaded
+LOADED = """
+import contextlib, io, json, sys
+from linlam import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        cli.main(sys.argv[1:])
+    except SystemExit:
+        pass
+print(json.dumps([m[len("linlam."):] for m in sys.modules if m.startswith("linlam.")]))
+"""
+
+
+def fresh_python(code, *args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def layers_loaded(*argv):
+    return LAYERS & set(json.loads(fresh_python(LOADED, *argv)))
+
+
+class TestImportFootprint:
+    def test_help_loads_no_layer(self):
+        assert layers_loaded("--help") == set()
+
+    def test_series_table_loads_the_series_alone(self):
+        assert layers_loaded("series-table", "--family", "PB", "--max-n", "1") == {"series"}
+
+    def test_enum_count_loads_no_series_maps_or_crosscheck(self):
+        assert layers_loaded("count", "--family", "linear", "--max-n", "1") == {
+            "terms", "enumeration"}
+
+
+class TestLazyExports:
+    def test_all_is_unchanged(self):
+        assert linlam.__all__ == sorted(
+            "App BiSeries ClassCounts Classification CountTable FVar Family FamilyName"
+            " FamilySolution Flavor Kind Lam ParseError RootedMap Term Var Variant"
+            " canonical_code canonicalize census check_linear class_cells class_groups"
+            " classify count_classes count_family default_context enum_family faces"
+            " from_ascii genus is_isomorphic local_exchanges parse render solve to_ascii"
+            .split()
+        )
+
+    @pytest.mark.parametrize("name", linlam.__all__)
+    def test_name_is_its_home_modules_object(self, name):
+        value = getattr(linlam, name)
+        home = importlib.import_module(f"linlam.{linlam._HOME[name]}")
+        assert getattr(home, name) is value
+        if name != "Term":  # a type alias, which names no module
+            assert value.__module__ == home.__name__
+
+    def test_dir_covers_all(self):
+        assert set(dir(linlam)) >= set(linlam.__all__)
+
+    def test_unknown_attribute(self):
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            linlam.no_such_name  # noqa: B018
+
+    def test_from_import_loads_submodules(self):
+        code = ("import types\nfrom linlam import cli, series\n"
+                "print(isinstance(cli, types.ModuleType), series.__name__)")
+        assert fresh_python(code).split() == ["True", "linlam.series"]
+
+    def test_old_import_paths_give_the_same_objects(self):
+        assert enumeration.Family is names.Family
+        assert enumeration.CLASS_FAMILIES is names.CLASS_FAMILIES
+        assert series.FamilyName is names.FamilyName
+        assert maps.Variant is names.Variant
+        assert crosscheck.FAMILY_SERIES is names.FAMILY_SERIES
