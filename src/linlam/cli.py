@@ -14,13 +14,13 @@ is 1 when a crosscheck diverges, 2 on usage errors.
 
 The parser takes its choices from linlam.names, which loads no layer, and
 each command imports the layers it runs when it runs: `--help` loads none,
-and `series-table` only the series.
+and `series-table` only the series.  json is imported only when a command
+prints JSON, and `series-table` writes its CSV one z-row at a time.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .names import CLASS_FAMILIES, FAMILY_SERIES, Family, FamilyName, Variant
@@ -30,8 +30,9 @@ _CLASS_FAMILIES = {f"classes-{f.value}": f for f in CLASS_FAMILIES}
 _MAP_VARIANTS = {v.value: v for v in Variant}
 
 
-def _emit_sequence(values: list[int], as_json: bool) -> None:
+def _emit_sequence(values: list, as_json: bool) -> None:
     if as_json:
+        import json
         print(json.dumps(values))
     else:
         for v in values:
@@ -89,12 +90,7 @@ def cmd_list(args: argparse.Namespace) -> int:
         return 0
     from . import enumeration
     family = _TERM_FAMILIES[args.family]
-    listed = [show(t) for t in enumeration.enum_family(family, args.n, k)]
-    if args.json:
-        print(json.dumps(listed))
-    else:
-        for line in listed:
-            print(line)
+    _emit_sequence([show(t) for t in enumeration.enum_family(family, args.n, k)], args.json)
     return 0
 
 
@@ -117,7 +113,7 @@ def cmd_series_table(args: argparse.Namespace) -> int:
     elif args.json:
         sys.stdout.write(series.solution_to_json(sol))
     else:
-        sys.stdout.write(series.solution_to_csv(sol))
+        sys.stdout.writelines(series.solution_csv_rows(sol))
     return 0
 
 
@@ -132,6 +128,7 @@ def cmd_maps_census(args: argparse.Namespace) -> int:
     cens = maps.census(args.edges, variant, cap_override=args.cap_override)
     cells = [[n, k, c] for (n, k), c in sorted(cens.entries.items())]
     if args.json:
+        import json
         data = {"variant": variant.value, "edges": args.edges, "cells": cells}
         sys.stdout.write(json.dumps(data, indent=2) + "\n")
     else:
@@ -230,15 +227,9 @@ def main(argv: list[str] | None = None) -> int:
         _check_usage(args)
     except ValueError as err:
         parser.error(str(err))
-    if args.command == "count":
-        return cmd_count(args)
-    if args.command == "list":
-        return cmd_list(args)
-    if args.command == "crosscheck":
-        return cmd_crosscheck(args)
-    if args.command == "series-table":
-        return cmd_series_table(args)
-    return cmd_maps_census(args)
+    run = {"count": cmd_count, "list": cmd_list, "crosscheck": cmd_crosscheck,
+           "series-table": cmd_series_table, "maps-census": cmd_maps_census}[args.command]
+    return run(args)
 
 
 if __name__ == "__main__":

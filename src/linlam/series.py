@@ -57,12 +57,15 @@ falls to back-substitution from the top degree down; for the exchange
 classes (QB/QR) it is the Taylor shift, so B(z,x) = x + z B(z,x) B(z,x+1).
 Every solution is re-checked, exactly, against its defining equations
 before being returned, and records each equation with the cells it compared.
+
+The CSV export yields the table one z-row at a time.  FamilySolution is a
+plain slotted class and only the JSON export imports json, so printing the
+CSV loads neither dataclasses nor json.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from collections.abc import Iterator
 from enum import Enum
 from itertools import zip_longest
 from math import gcd, lcm
@@ -409,15 +412,15 @@ _PAIRS = (
 )
 
 
-@dataclass(frozen=True)
 class FamilySolution:
     """One family's series, every series solved with it (both halves of a
     pair), and checked: each equation the solve verified -> cells compared."""
 
-    which: FamilyName
-    series: BiSeries
-    system: dict[FamilyName, BiSeries]
-    checked: dict[str, int]
+    __slots__ = ("which", "series", "system", "checked")
+
+    def __init__(self, which: FamilyName, series: BiSeries,
+                 system: dict[FamilyName, BiSeries], checked: dict[str, int]) -> None:
+        self.which, self.series, self.system, self.checked = which, series, system, checked
 
 
 # the names the quotient pair's record gives its fixpoint equation and closed column
@@ -495,16 +498,21 @@ def solve(which: FamilyName | str, trunc: int = 12) -> FamilySolution:
 # Exports
 
 
+def solution_csv_rows(sol: FamilySolution) -> Iterator[str]:
+    """The CSV table of sol in pieces: the header, then the cells k <= n + 1 of each z-row n."""
+    yield "family,n,k,coeff\n"
+    name = sol.which.value
+    for n, row in enumerate(sol.series.rows):
+        yield "".join(f"{name},{n},{k},{_at(row, k)}\n" for k in range(n + 2))
+
+
 def solution_to_csv(sol: FamilySolution) -> str:
-    lines = ["family,n,k,coeff"]
-    s = sol.series
-    for n in range(s.trunc + 1):
-        for k in range(n + 2):
-            lines.append(f"{sol.which.value},{n},{k},{s.coeff(n, k)}")
-    return "\n".join(lines) + "\n"
+    return "".join(solution_csv_rows(sol))
 
 
 def solution_to_json(sol: FamilySolution) -> str:
+    import json
+
     s = sol.series
     data = {
         "family": sol.which.value,

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 
 import pytest
@@ -10,6 +11,7 @@ from linlam.crosscheck import (
     ReferenceSequences,
     run_crosscheck,
 )
+from test_series import CSV_SHA256_AT_40
 
 
 def swap_free(t: terms.Term) -> terms.Term:
@@ -115,6 +117,56 @@ class TestSeriesTable:
     def test_csv(self, capsys):
         _, out = run(capsys, "series-table", "--family", "QB", "--max-n", "2")
         assert "QB,2,2,5" in out.splitlines()
+
+    def test_json(self, capsys):
+        _, out = run(capsys, "series-table", "--family", "QB", "--max-n", "2", "--json")
+        assert out == QB_2_JSON
+
+    def test_closed_json(self, capsys):
+        _, out = run(
+            capsys, "series-table", "--family", "QR", "--closed", "--max-n", "6", "--json"
+        )
+        assert out == "[1, 2, 10, 74, 706, 8162]\n"
+
+    @pytest.mark.parametrize("which", list(names.FamilyName))
+    def test_streamed_csv_is_pinned(self, capsys, which):
+        _, out = run(capsys, "series-table", "--family", which.value, "--max-n", "40")
+        assert hashlib.sha256(out.encode()).hexdigest() == CSV_SHA256_AT_40[which]
+
+    def test_csv_is_not_built_whole(self, capsys, monkeypatch):
+        def whole_table(sol):
+            raise AssertionError("the CLI built the whole table as one string")
+
+        monkeypatch.setattr(series, "solution_to_csv", whole_table)
+        code, out = run(capsys, "series-table", "--family", "QB", "--max-n", "2")
+        assert code == 0
+        assert out.splitlines()[-1] == "QB,2,3,2"
+
+
+QB_2_JSON = """\
+{
+  "family": "QB",
+  "flavor": "ogf",
+  "trunc": 2,
+  "rows": [
+    [
+      0,
+      1
+    ],
+    [
+      0,
+      1,
+      1
+    ],
+    [
+      0,
+      3,
+      5,
+      2
+    ]
+  ]
+}
+"""
 
 
 ONE_EDGE_JSON = """\

@@ -15,16 +15,18 @@ from linlam import crosscheck, enumeration, maps, names, series
 ROOT = Path(__file__).resolve().parents[1]
 LAYERS = {"terms", "enumeration", "exchange", "maps", "series", "crosscheck"}
 
-# run cli.main on the arguments, then print the linlam submodules it loaded
+# run cli.main on the arguments, then print the modules that importing the
+# cli and running it loaded; the probe itself imports no json
 LOADED = """
-import contextlib, io, json, sys
+import contextlib, io, sys
+before = set(sys.modules)
 from linlam import cli
 with contextlib.redirect_stdout(io.StringIO()):
     try:
         cli.main(sys.argv[1:])
     except SystemExit:
         pass
-print(json.dumps([m[len("linlam."):] for m in sys.modules if m.startswith("linlam.")]))
+print(*sorted(set(sys.modules) - before))
 """
 
 
@@ -36,8 +38,12 @@ def fresh_python(code, *args):
     return done.stdout
 
 
+def modules_loaded(*argv):
+    return set(fresh_python(LOADED, *argv).split())
+
+
 def layers_loaded(*argv):
-    return LAYERS & set(json.loads(fresh_python(LOADED, *argv)))
+    return LAYERS & {m[len("linlam."):] for m in modules_loaded(*argv) if m.startswith("linlam.")}
 
 
 class TestImportFootprint:
@@ -50,6 +56,22 @@ class TestImportFootprint:
     def test_enum_count_loads_no_series_maps_or_crosscheck(self):
         assert layers_loaded("count", "--family", "linear", "--max-n", "1") == {
             "terms", "enumeration"}
+
+    # dataclasses with inspect cost each series-table start about 10 ms, and
+    # json about 2.5 ms, though only --json needs json
+    @pytest.mark.parametrize("extra", [(), ("--closed",)])
+    def test_series_table_loads_no_dataclasses_or_json(self, extra):
+        argv = ("series-table", "--family", "PB", "--max-n", "3", *extra)
+        assert modules_loaded(*argv) & {"dataclasses", "inspect", "json"} == set()
+
+    def test_help_loads_no_json(self):
+        assert "json" not in modules_loaded("--help")
+
+    def test_series_table_json_loads_json(self):
+        argv = ("series-table", "--family", "PB", "--max-n", "3", "--json")
+        assert "json" in modules_loaded(*argv)
+        code = "import sys\nfrom linlam import cli\ncli.main(sys.argv[1:])"
+        assert json.loads(fresh_python(code, *argv))["rows"] == series.solve("PB", 3).series.rows
 
 
 class TestLazyExports:
