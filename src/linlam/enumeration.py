@@ -40,7 +40,6 @@ immutable, so sharing subterm objects between them is safe.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import accumulate, chain, product
@@ -282,6 +281,8 @@ class CountTable:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
+        import json
+
         data = {
             "provenance": self.provenance,
             "max_n": self.max_n,

@@ -18,7 +18,6 @@ canonical form (class_groups), and the crosscheck compares the two.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import factorial
 from typing import Iterator
@@ -161,4 +160,6 @@ def groups_to_text(groups: list[list[Term]], renderer) -> str:
 
 
 def groups_to_json(groups: list[list[Term]], renderer) -> str:
+    import json
+
     return json.dumps([[renderer(t) for t in group] for group in groups], indent=2) + "\n"

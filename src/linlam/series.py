@@ -34,8 +34,8 @@ A row's kernel form keeps its four evaluations and the q they were packed
 for, and repacks only when a product asks for another X; q is even, so
 neighbouring rows share X and a solver packs each row about once per X.
 The evaluations live and die with the form: a solver's forms last for its
-solve, and each product of two series (so each equation check) builds its
-own.
+solve, and each product of two series builds its own, as does the product
+of each equation check, in another process.
 
 An EGF row is first divided by i! term by term and put over its reduced
 common denominator D; the OGF product of two such rows is the EGF product
@@ -58,6 +58,19 @@ classes (QB/QR) it is the Taylor shift, so B(z,x) = x + z B(z,x) B(z,x+1).
 Every solution is re-checked, exactly, against its defining equations
 before being returned, and records each equation with the cells it compared.
 
+The check's one expensive operation, its product (L L, b r, or b b(x+1) for
+the quotient pair), runs beside the solver.  solve forks a sibling process
+at its start and writes each z-row to it through a pipe the moment the
+solver fixes it: L_n, or the pair (b_n, r_n), as marshal data behind an
+8-byte length.  The sibling builds its own forms from those rows alone (and,
+for the quotient pair, its own Taylor shifts of b), computes product row n
+as soon as rows 0 .. n have come, and once the last row has come sends the
+product rows back the same way and leaves through os._exit, so it neither
+flushes the caller's stdio buffers nor runs its atexit hooks.  The caller
+compares the solution with the product and reaps the sibling on every path.
+Where os.fork is missing, or another Python thread runs, the same product
+generator consumes the collected rows in-process after the solver.
+
 The CSV export yields the table one z-row at a time.  FamilySolution is a
 plain slotted class and only the JSON export imports json, so printing the
 CSV loads neither dataclasses nor json.
@@ -65,7 +78,10 @@ CSV loads neither dataclasses nor json.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import marshal
+import os
+import sys
+from collections.abc import Iterable, Iterator
 from enum import Enum
 from itertools import zip_longest
 from math import gcd, lcm
@@ -379,29 +395,111 @@ class BiSeries:
 # Solvers
 
 
-def _rows_linear(trunc: int) -> list[list[int]]:
+def _rows_linear(trunc: int) -> Iterator[list[int]]:
+    """Rows L_0 .. L_trunc, each yielded as soon as it is fixed."""
     # family of all linear terms: same-order derivative, so back-substitute
-    rows: list[list[int]] = [[]]
     forms = [_form([], True)]
+    yield []
     for n in range(1, trunc + 1):
         known = [0, 1] if n == 1 else _convolve(_square_terms(forms, n, 1), True)
-        rows.append(_back_substitute(known, n))
-        forms.append(_form(rows[n], True))
-    return rows
+        row = _back_substitute(known, n)
+        yield row
+        forms.append(_form(row, True))
 
 
-def _rows_pair(trunc: int, egf: bool, abstract) -> tuple[list[list[int]], list[list[int]]]:
-    """Rows of a mutual pair b = x + b r, with r_n = abstract(b_(n-1), n)."""
-    b_rows: list[list[int]] = [[0, 1]]
-    r_rows: list[list[int]] = [[]]
-    b_forms = [_form(b_rows[0], egf)]
-    r_forms = [_form(r_rows[0], egf)]
+def _rows_pair(trunc: int, egf: bool, abstract) -> Iterator[tuple[list[int], list[int]]]:
+    """Rows (b_n, r_n) of a mutual pair b = x + b r, with r_n = abstract(b_(n-1), n)."""
+    b, r = [0, 1], []
+    b_forms, r_forms = [_form(b, egf)], [_form(r, egf)]
+    yield b, r
     for n in range(1, trunc + 1):
-        r_rows.append(abstract(b_rows[n - 1], n))
-        r_forms.append(_form(r_rows[n], egf))
-        b_rows.append(_convolve([(1, b_forms[i], r_forms[n - i]) for i in range(n)], egf))
-        b_forms.append(_form(b_rows[n], egf))
-    return b_rows, r_rows
+        r = abstract(b, n)
+        r_forms.append(_form(r, egf))
+        b = _convolve([(1, b_forms[i], r_forms[n - i]) for i in range(n)], egf)
+        yield b, r
+        b_forms.append(_form(b, egf))
+
+
+# ---------------------------------------------------------------------------
+# The equation checks' products, streamed beside the solver
+
+
+def _square_rows(rows: Iterable[list[int]]) -> Iterator[list[int]]:
+    """Row n of L L, under EGF, as soon as rows L_0 .. L_n have come."""
+    forms = []
+    for n, row in enumerate(rows):
+        forms.append(_form(row, True))
+        yield _convolve(_square_terms(forms, n), True)
+
+
+def _pair_products(pairs: Iterable[tuple[list[int], list[int]]], egf: bool,
+                   shift: bool) -> Iterator[list[int]]:
+    """Row n of b r, or of b b(x+1) under shift, as soon as rows (b_i, r_i), i <= n, have come."""
+    b_forms, r_forms = [], []
+    for n, (b, r) in enumerate(pairs):
+        b_forms.append(_form(b, egf))
+        r_forms.append(_form(_taylor_shift_row(b) if shift else r, egf))
+        yield _convolve([(1, b_forms[i], r_forms[n - i]) for i in range(n + 1)], egf)
+
+
+def _send(out, value) -> None:
+    data = marshal.dumps(value)
+    out.write(len(data).to_bytes(8, "little") + data)
+    out.flush()  # the sibling starts on the row now, not when a buffer fills
+
+
+def _received(src) -> Iterator:
+    """The values _send wrote to src, up to its end."""
+    while head := src.read(8):
+        size = int.from_bytes(head, "little")
+        data = src.read(size)
+        if len(head) < 8 or len(data) < size:
+            raise ChildProcessError("the series check's pipe ended inside a message")
+        yield marshal.loads(data)
+
+
+def _beside(rows: Iterator, product) -> tuple[list, list[list[int]]]:
+    """The solver's rows, and the rows of product(rows) computed beside the solver.
+
+    The product runs in a forked sibling that sees only the rows sent to it;
+    without os.fork, or with another thread running (a fork copies only the
+    calling thread, and locks the others hold would stay held in the copy),
+    it runs here afterwards.
+    """
+    threads = sys.modules.get("threading")  # no module, no other Python thread
+    if not hasattr(os, "fork") or (threads and threads.active_count() > 1):
+        solved = list(rows)
+        return solved, list(product(solved))
+    rows_in, rows_out = os.pipe()
+    reply_in, reply_out = os.pipe()
+    pid = os.fork()
+    if not pid:
+        # the sibling leaves only through os._exit, so it never flushes the
+        # parent's stdio buffers or runs its atexit hooks
+        status = 1
+        try:
+            os.close(rows_out)
+            os.close(reply_in)
+            with open(rows_in, "rb") as src, open(reply_out, "wb") as out:
+                _send(out, list(product(_received(src))))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(rows_in)
+    os.close(reply_out)
+    try:
+        with open(rows_out, "wb") as out, open(reply_in, "rb") as src:
+            solved = []
+            for row in rows:
+                solved.append(row)
+                _send(out, row)
+            out.close()
+            reply = next(_received(src), None)
+        if reply is None:
+            raise ChildProcessError("the series check's sibling process ended without its product")
+        return solved, reply
+    finally:
+        os.waitpid(pid, 0)
 
 
 # the neutral and normal family of each mutual pair
@@ -435,14 +533,14 @@ def _cells(got: BiSeries, want: BiSeries, failure: str) -> int:
     return sum(max(n + 2, len(row)) for n, row in enumerate(got.rows))
 
 
-def _verify_linear(s: BiSeries) -> dict[str, int]:
-    rhs = BiSeries(Flavor.EGF, [[], [0, 1]], trunc=s.trunc).add(s.mul(s)).add(s.d_dx())
+def _verify_linear(s: BiSeries, square: BiSeries) -> dict[str, int]:
+    rhs = BiSeries(Flavor.EGF, [[], [0, 1]], trunc=s.trunc).add(square).add(s.d_dx())
     return {"L = zx + L^2 + dL/dx": _cells(s, rhs, "linear family solution fails its equation")}
 
 
-def _verify_pair(b: BiSeries, r: BiSeries, egf: bool, pair) -> dict[str, int]:
+def _verify_pair(b: BiSeries, r: BiSeries, product: BiSeries, egf: bool, pair) -> dict[str, int]:
     nb, nr = (name.value for name in pair)
-    neutral = BiSeries(b.flavor, [[0, 1]], trunc=b.trunc).add(b.mul(r))
+    neutral = BiSeries(b.flavor, [[0, 1]], trunc=b.trunc).add(product)
     deriv, dr = (r.d_dx(), f"d{nr}/dx") if egf else (r.discrete_d(), f"({nr} - {nr}(x=0))/x")
     normal = b.z_shift().add(deriv)
     return {
@@ -451,9 +549,9 @@ def _verify_pair(b: BiSeries, r: BiSeries, egf: bool, pair) -> dict[str, int]:
     }
 
 
-def _verify_quotient(b: BiSeries, r: BiSeries) -> dict[str, int]:
+def _verify_quotient(b: BiSeries, r: BiSeries, product: BiSeries) -> dict[str, int]:
     shifted = b.taylor_shift()
-    fixpoint = BiSeries(Flavor.OGF, [[0, 1]], trunc=b.trunc).add(b.mul(shifted).z_shift())
+    fixpoint = BiSeries(Flavor.OGF, [[0, 1]], trunc=b.trunc).add(product.z_shift())
     checked = {
         FIXPOINT: _cells(b, fixpoint, "quotient solution fails its fixpoint equation"),
         "QR = z QB(x+1)": _cells(r, shifted.z_shift(), "quotient abstraction rule fails"),
@@ -471,16 +569,21 @@ def solve(which: FamilyName | str, trunc: int = 12) -> FamilySolution:
     All coefficients are exact integers.  A mutual pair is solved once for
     both of its families, which the solution's system carries.  The
     solution is checked against its defining equations before returning; a
-    failure raises ArithmeticError.  The record, checked, maps each
-    equation of the system to its cells compared: the (trunc + 1)(trunc + 4)/2
-    cells k <= n + 1 of a series, or the trunc of the closed column.
+    failure raises ArithmeticError.  The check's product (L L, b r, or
+    b b(x+1) for the quotient pair) is computed beside the solver, in a
+    sibling process when the platform can fork.  The record, checked, maps
+    each equation of the system to its cells compared: the
+    (trunc + 1)(trunc + 4)/2 cells k <= n + 1 of a series, or the trunc of
+    the closed column.
     """
     which = FamilyName(which) if isinstance(which, str) else which
     if trunc < 0:
         raise ValueError("truncation must be non-negative")
     if which is FamilyName.L:
-        series = BiSeries(Flavor.EGF, _rows_linear(trunc), trunc=trunc)
-        return FamilySolution(which, series, {which: series}, _verify_linear(series))
+        rows, square = _beside(_rows_linear(trunc), _square_rows)
+        series = BiSeries(Flavor.EGF, rows, trunc=trunc)
+        checked = _verify_linear(series, BiSeries(Flavor.EGF, square, trunc=trunc))
+        return FamilySolution(which, series, {which: series}, checked)
     pair = next(p for p in _PAIRS if which in p)
     quotient = pair[0] is FamilyName.QB
     egf = pair[0] is FamilyName.LB
@@ -488,8 +591,12 @@ def solve(which: FamilyName | str, trunc: int = 12) -> FamilySolution:
     # the abstraction rule: r_n(x) = b_(n-1)(x + 1) for classes, else the
     # same-order derivative, back-substituted under the degree bound n
     abstract = (lambda row, n: _taylor_shift_row(row)) if quotient else _back_substitute
-    b, r = (BiSeries(flavor, rows, trunc=trunc) for rows in _rows_pair(trunc, egf, abstract))
-    checked = _verify_quotient(b, r) if quotient else _verify_pair(b, r, egf, pair)
+    pairs, product_rows = _beside(
+        _rows_pair(trunc, egf, abstract), lambda rows: _pair_products(rows, egf, quotient)
+    )
+    b, r = (BiSeries(flavor, rows, trunc=trunc) for rows in zip(*pairs))
+    product = BiSeries(flavor, product_rows, trunc=trunc)
+    checked = _verify_quotient(b, r, product) if quotient else _verify_pair(b, r, product, egf, pair)
     system = dict(zip(pair, (b, r)))
     return FamilySolution(which, system[which], system, checked)
 

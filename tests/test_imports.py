@@ -67,6 +67,11 @@ class TestImportFootprint:
     def test_help_loads_no_json(self):
         assert "json" not in modules_loaded("--help")
 
+    # the layers import json inside their JSON writers, so a CSV count loads none
+    @pytest.mark.parametrize("family", ["linear", "classes-normal"])
+    def test_csv_count_loads_no_json(self, family):
+        assert "json" not in modules_loaded("count", "--family", family, "--max-n", "2")
+
     def test_series_table_json_loads_json(self):
         argv = ("series-table", "--family", "PB", "--max-n", "3", "--json")
         assert "json" in modules_loaded(*argv)

@@ -1,7 +1,13 @@
 import hashlib
+import os
 import random
+import signal
+import subprocess
+import sys
+import threading
 from itertools import zip_longest
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
@@ -400,20 +406,31 @@ class TestPackedKernel:
 # The equation checks inside solve reject a wrong table
 
 
-def bump(rows, n=20):
-    rows[n][len(rows[n]) // 2] += 1
+def bumped(row):
+    row = list(row)
+    row[len(row) // 2] += 1
+    return row
+
+
+def bump_row_20(rows, side=None):
+    """The solver's rows, with a copy of row 20 (of one side, for a pair) bumped as it streams past."""
+    for n, row in enumerate(rows):
+        if n == 20:
+            row = bumped(row) if side is None else tuple(
+                bumped(half) if i == side else half for i, half in enumerate(row))
+        yield row
 
 
 class TestEquationChecksAreLive:
+    """Run with the check's product in a forked sibling process."""
+
+    @pytest.fixture(autouse=True)
+    def transport(self):
+        assert hasattr(os, "fork") and threading.active_count() == 1
+
     def test_linear(self, monkeypatch):
         real = series._rows_linear
-
-        def wrong(trunc):
-            rows = real(trunc)
-            bump(rows)
-            return rows
-
-        monkeypatch.setattr(series, "_rows_linear", wrong)
+        monkeypatch.setattr(series, "_rows_linear", lambda trunc: bump_row_20(real(trunc)))
         with pytest.raises(ArithmeticError, match="linear family"):
             solve(FamilyName.L, 24)
 
@@ -423,9 +440,7 @@ class TestEquationChecksAreLive:
         real = series._rows_pair
 
         def wrong(trunc, egf, abstract):
-            pair = real(trunc, egf, abstract)
-            bump(pair[side])
-            return pair
+            return bump_row_20(real(trunc, egf, abstract), side)
 
         monkeypatch.setattr(series, "_rows_pair", wrong)
         with pytest.raises(ArithmeticError, match="family solution fails its equation"):
@@ -433,14 +448,16 @@ class TestEquationChecksAreLive:
 
     @pytest.mark.parametrize("which", [FamilyName.QB, FamilyName.QR])
     def test_quotient_routes(self, monkeypatch, which):
-        # corrupt the first shift of a degree-20 row only: the solver makes it
-        # (r_20 from b_19), and the fixpoint check shifts b afresh
+        # corrupt the first shift of a degree-20 row only, and only in this
+        # process: the solver makes it (r_20 from b_19), while the parent's
+        # check and the product's own shifts shift b afresh
         real = series._taylor_shift_row
+        caller = os.getpid()
         seen = []
 
         def wrong(row):
             out = real(row)
-            if len(row) == 21 and not seen:
+            if len(row) == 21 and not seen and os.getpid() == caller:
                 seen.append(row)
                 out[3] += 1
             return out
@@ -457,13 +474,119 @@ class TestEquationChecksAreLive:
         real = series._rows_pair
 
         def wrong(trunc, egf, abstract):
-            pair = real(trunc, egf, abstract)
-            bump(pair[side])
-            return pair
+            return bump_row_20(real(trunc, egf, abstract), side)
 
         monkeypatch.setattr(series, "_rows_pair", wrong)
         with pytest.raises(ArithmeticError, match=message):
             solve(FamilyName.QB, 24)
+
+
+class TestEquationChecksAreLiveInProcess(TestEquationChecksAreLive):
+    """The same checks with the product computed in-process, as where os.fork is missing."""
+
+    @pytest.fixture(autouse=True)
+    def transport(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+
+
+# ---------------------------------------------------------------------------
+# The check's product, computed in a sibling process
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_product_runs_in_a_sibling_process(monkeypatch, tmp_path):
+    log = tmp_path / "pids"
+
+    def spy(real):
+        def product(*args):
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()}\n")
+            return real(*args)
+        return product
+
+    for name in ("_square_rows", "_pair_products"):
+        monkeypatch.setattr(series, name, spy(getattr(series, name)))
+    for which in ("L", "LB", "PB", "QB"):
+        solve(which, 12)
+    pids = log.read_text().split()
+    assert len(pids) == 4 and str(os.getpid()) not in pids
+    assert_no_child()
+
+
+@pytest.mark.parametrize("trunc", [0, 1, 2, 12])
+@pytest.mark.parametrize("which", list(FamilyName))
+def test_in_process_product_gives_the_same_solution(monkeypatch, which, trunc):
+    forked = solve(which, trunc)
+    monkeypatch.delattr(os, "fork")
+    here = solve(which, trunc)
+    assert here.system == forked.system
+    assert list(here.checked.items()) == list(forked.checked.items())
+
+
+def test_no_child_is_left(monkeypatch):
+    solve(FamilyName.QB, 24)
+    assert_no_child()
+    real = series._rows_linear
+    monkeypatch.setattr(series, "_rows_linear", lambda trunc: bump_row_20(real(trunc)))
+    with pytest.raises(ArithmeticError, match="linear family"):
+        solve(FamilyName.L, 24)
+    assert_no_child()
+
+    def broken(trunc):
+        for n, row in enumerate(real(trunc)):
+            if n == 20:
+                raise RuntimeError("the solver broke at row 20")
+            yield row
+
+    monkeypatch.setattr(series, "_rows_linear", broken)
+    with pytest.raises(RuntimeError, match="the solver broke at row 20"):
+        solve(FamilyName.L, 40)
+    assert_no_child()
+
+
+class Hung(Exception):
+    pass
+
+
+@pytest.mark.parametrize("trunc", [2, 40])
+def test_a_sibling_that_dies_without_replying(monkeypatch, trunc):
+    caller = os.getpid()
+
+    def die(rows):
+        if os.getpid() != caller:
+            os._exit(3)
+        raise AssertionError("the product ran in the caller's process")
+
+    def hung(signum, frame):
+        raise Hung
+
+    monkeypatch.setattr(series, "_square_rows", die)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(OSError):
+            solve(FamilyName.L, trunc)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert_no_child()
+
+
+@pytest.mark.parametrize("pair", [None, *series._PAIRS])
+def test_streamed_products_equal_the_series_product(pair):
+    # BiSeries.mul, the whole-series product, is the reference
+    if pair is None:
+        s = solve(FamilyName.L, 40).series
+        assert list(series._square_rows(s.rows)) == s.mul(s).rows
+        return
+    b, r = (solve(pair[0], 40).system[name] for name in pair)
+    egf, shift = b.flavor is Flavor.EGF, pair[0] is FamilyName.QB
+    want = b.mul(b.taylor_shift() if shift else r)
+    assert list(series._pair_products(zip(b.rows, r.rows), egf, shift)) == want.rows
 
 
 # ---------------------------------------------------------------------------
@@ -528,3 +651,38 @@ CSV_SHA256_AT_40 = {
 def test_table_at_40_is_pinned(which):
     text = solution_to_csv(solve(which, 40))
     assert hashlib.sha256(text.encode()).hexdigest() == CSV_SHA256_AT_40[which]
+
+
+# ---------------------------------------------------------------------------
+# Real processes: the sibling adds nothing to what the command prints
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def python(*args):
+    # PYTHONUNBUFFERED would make a piped stdout unbuffered, and hide a double flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.parametrize("which", list(FamilyName))
+def test_command_table_at_40_is_pinned(which):
+    out = python("-m", "linlam", "series-table", "--family", which.value, "--max-n", "40")
+    assert hashlib.sha256(out).hexdigest() == CSV_SHA256_AT_40[which]
+
+
+def test_sibling_leaves_stdio_and_atexit_to_the_caller():
+    # stdout is a pipe, so block-buffered: a sibling that flushed it, or ran
+    # the atexit hook, would print a line twice
+    code = (
+        "import atexit, sys\n"
+        "from linlam import series\n"
+        "assert not sys.stdout.write_through and not sys.stdout.line_buffering\n"
+        "print('before')\n"
+        "atexit.register(print, 'at exit')\n"
+        "print(series.solve('LB', 12).checked['LB = x + LB LR'])\n"
+    )
+    assert python("-c", code).decode().splitlines() == ["before", "104", "at exit"]
