@@ -193,11 +193,11 @@ _LEAST_MAX_N = {"count": 0, "series-table": 0, "crosscheck": 1}
 
 
 def _check_usage(args: argparse.Namespace) -> None:
-    """Raise ValueError for out-of-range sizes, map censuses and unused caps."""
+    """Raise ValueError for out-of-range sizes, map censuses, and negative or unused caps."""
     least = _LEAST_MAX_N.get(args.command)
     if least is not None and args.max_n < least:
         raise ValueError(f"--max-n must be at least {least}")
-    if args.command == "crosscheck" and (args.cap_override or 0) < 0:
+    if (getattr(args, "cap_override", None) or 0) < 0:
         raise ValueError("--cap-override must be non-negative")
     if args.command == "list" and min(args.n, args.k) < 0:
         raise ValueError("--n and --k must be non-negative")

@@ -9,8 +9,6 @@ the classifier, and the canonicalizer against known ground truth.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
 from math import factorial
 
 from . import enumeration, exchange, maps, series, terms
@@ -19,22 +17,29 @@ from .names import FAMILY_SERIES, Family, FamilyName, Variant
 from .terms import FVar, Term
 
 
-@dataclass(frozen=True)
 class ReferenceSequences:
     """Closed-term count prefixes, starting at size 1, with OEIS labels."""
 
-    linear_closed: tuple[int, ...] = (1, 5, 60, 1105, 27120, 828250)
-    normal_closed: tuple[int, ...] = (1, 3, 26, 367, 7142, 176766)
-    planar_normal_closed: tuple[int, ...] = (1, 2, 9, 54, 378, 2916)
-    quotient_closed: tuple[int, ...] = (1, 2, 10, 74, 706, 8162)
+    __slots__ = ("linear_closed", "normal_closed", "planar_normal_closed",
+                 "quotient_closed", "oeis")
 
-    oeis: dict[str, str] = field(
-        default_factory=lambda: {
+    def __init__(
+        self,
+        linear_closed: tuple[int, ...] = (1, 5, 60, 1105, 27120, 828250),
+        normal_closed: tuple[int, ...] = (1, 3, 26, 367, 7142, 176766),
+        planar_normal_closed: tuple[int, ...] = (1, 2, 9, 54, 378, 2916),
+        quotient_closed: tuple[int, ...] = (1, 2, 10, 74, 706, 8162),
+        oeis: dict[str, str] | None = None,
+    ) -> None:
+        self.linear_closed = linear_closed
+        self.normal_closed = normal_closed
+        self.planar_normal_closed = planar_normal_closed
+        self.quotient_closed = quotient_closed
+        self.oeis = {
             "linear_closed": "A062980",
             "planar_normal_closed": "A000168",
             "quotient_closed": "A000698",
-        }
-    )
+        } if oeis is None else oeis
 
 
 REFERENCE_SEQUENCES = ReferenceSequences()
@@ -81,13 +86,16 @@ NORMAL_TERMS_UP_TO_SIZE_3: tuple[str, ...] = tuple(
 MAP_SIZE_SHIFT = 1
 
 
-@dataclass
 class CheckResult:
-    name: str
-    producers: str
-    indices: str
-    ok: bool
-    divergence: str | None = None
+    __slots__ = ("name", "producers", "indices", "ok", "divergence")
+
+    def __init__(self, name: str, producers: str, indices: str, ok: bool,
+                 divergence: str | None = None) -> None:
+        self.name = name
+        self.producers = producers
+        self.indices = indices
+        self.ok = ok
+        self.divergence = divergence
 
     def line(self) -> str:
         status = "ok  " if self.ok else "FAIL"
@@ -95,9 +103,11 @@ class CheckResult:
         return f"[{status}] {self.name} ({self.producers}; {self.indices}){where}"
 
 
-@dataclass
 class CrossCheckReport:
-    checks: list[CheckResult] = field(default_factory=list)
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: list[CheckResult] | None = None) -> None:
+        self.checks = [] if checks is None else checks
 
     @property
     def ok(self) -> bool:
@@ -109,7 +119,11 @@ class CrossCheckReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        data = {"pass": self.ok, "checks": [asdict(c) for c in self.checks]}
+        import json
+
+        # each check's fields, in the order of CheckResult.__slots__
+        checks = [{f: getattr(c, f) for f in CheckResult.__slots__} for c in self.checks]
+        data = {"pass": self.ok, "checks": checks}
         return json.dumps(data, indent=2) + "\n"
 
 

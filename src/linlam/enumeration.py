@@ -34,13 +34,12 @@ strictly smaller size and a context are built once, kept as a tuple, and
 reused by every application that needs them, as is each context's list of
 cuts; the cell being generated, and the abstraction bodies under it, stay
 generators.  Each call of enum_family, enum_cells (which count_family uses)
-or class_cells has its own census and drops it on return.  Terms are
-immutable, so sharing subterm objects between them is safe.
+or class_cells has its own census and drops it on return.  No term is
+mutated after construction, so sharing subterm objects between them is safe.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import accumulate, chain, product
 from typing import Callable, Iterator
@@ -242,7 +241,6 @@ def class_cells(family: Family, max_n: int) -> Iterator[tuple[int, int, Iterator
 # Count tables
 
 
-@dataclass
 class CountTable:
     """Census of a two-index family: (n, k) -> exact count.
 
@@ -250,9 +248,13 @@ class CountTable:
     producer filled them.
     """
 
-    max_n: int
-    entries: dict[tuple[int, int], int] = field(default_factory=dict)
-    provenance: str = ""
+    __slots__ = ("max_n", "entries", "provenance")
+
+    def __init__(self, max_n: int, entries: dict[tuple[int, int], int] | None = None,
+                 provenance: str = "") -> None:
+        self.max_n = max_n
+        self.entries = {} if entries is None else entries
+        self.provenance = provenance
 
     def count(self, n: int, k: int) -> int:
         return self.entries.get((n, k), 0)

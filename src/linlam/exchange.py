@@ -18,7 +18,6 @@ canonical form (class_groups), and the crosscheck compares the two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 from typing import Iterator
 
@@ -104,7 +103,6 @@ def is_isomorphic(t1: Term, t2: Term) -> bool:
 # Class censuses
 
 
-@dataclass
 class ClassCounts:
     """Exchange-class censuses with labeled and unlabeled free variables.
 
@@ -114,9 +112,12 @@ class ClassCounts:
     canonical forms, is the unlabeled one times k!.
     """
 
-    family: Family
-    labeled: CountTable
-    unlabeled: CountTable
+    __slots__ = ("family", "labeled", "unlabeled")
+
+    def __init__(self, family: Family, labeled: CountTable, unlabeled: CountTable) -> None:
+        self.family = family
+        self.labeled = labeled
+        self.unlabeled = unlabeled
 
 
 def count_classes(family: Family, max_n: int) -> ClassCounts:

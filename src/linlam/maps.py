@@ -17,7 +17,6 @@ independent isomorphism test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .enumeration import CountTable
@@ -88,11 +87,30 @@ def _is_transitive(sigma: Sequence[int], alpha: Sequence[int]) -> bool:
     return reached == n
 
 
-@dataclass(frozen=True)
 class RootedMap:
-    sigma: Perm
-    alpha: Perm
-    root: int = 0
+    """A vertex rotation sigma and an edge involution alpha on the same darts, and a root dart.
+
+    Maps are never mutated after construction; two maps are equal when all
+    three fields are, and hash as the tuple of the three.
+    """
+
+    __slots__ = ("sigma", "alpha", "root")
+
+    def __init__(self, sigma: Perm, alpha: Perm, root: int = 0) -> None:
+        self.sigma = sigma
+        self.alpha = alpha
+        self.root = root
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is RootedMap:
+            return (self.sigma, self.alpha, self.root) == (other.sigma, other.alpha, other.root)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.sigma, self.alpha, self.root))
+
+    def __repr__(self) -> str:
+        return f"RootedMap(sigma={self.sigma!r}, alpha={self.alpha!r}, root={self.root!r})"
 
     @property
     def dart_count(self) -> int:

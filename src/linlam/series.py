@@ -61,10 +61,11 @@ before being returned, and records each equation with the cells it compared.
 The check's one expensive operation, its product (L L, b r, or b b(x+1) for
 the quotient pair), runs beside the solver.  solve forks a sibling process
 at its start and writes each z-row to it through a pipe the moment the
-solver fixes it: L_n, or the pair (b_n, r_n), as marshal data behind an
-8-byte length.  The sibling builds its own forms from those rows alone (and,
-for the quotient pair, its own Taylor shifts of b), computes product row n
-as soon as rows 0 .. n have come, and once the last row has come sends the
+solver fixes it: L_n, the pair (b_n, r_n), or b_n alone for the quotient
+pair, whose product reads no r, as marshal data behind an 8-byte length.
+The sibling builds its own forms from those rows alone (and, for the
+quotient pair, its own Taylor shifts of b), computes product row n as soon
+as rows 0 .. n have come, and once the last row has come sends the
 product rows back the same way and leaves through os._exit, so it neither
 flushes the caller's stdio buffers nor runs its atexit hooks.  The caller
 compares the solution with the product and reaps the sibling on every path.
@@ -434,7 +435,9 @@ def _square_rows(rows: Iterable[list[int]]) -> Iterator[list[int]]:
 
 def _pair_products(pairs: Iterable[tuple[list[int], list[int]]], egf: bool,
                    shift: bool) -> Iterator[list[int]]:
-    """Row n of b r, or of b b(x+1) under shift, as soon as rows (b_i, r_i), i <= n, have come."""
+    """Row n of b r, or of b b(x+1) under shift, as soon as rows (b_i, r_i), i <= n, have come.
+
+    Under shift no r_i is read."""
     b_forms, r_forms = [], []
     for n, (b, r) in enumerate(pairs):
         b_forms.append(_form(b, egf))
@@ -458,18 +461,20 @@ def _received(src) -> Iterator:
         yield marshal.loads(data)
 
 
-def _beside(rows: Iterator, product) -> tuple[list, list[list[int]]]:
-    """The solver's rows, and the rows of product(rows) computed beside the solver.
+def _beside(rows: Iterator, product, sent=None) -> tuple[list, list[list[int]]]:
+    """The solver's rows, and product(sent(row) for each row) computed beside the solver.
 
-    The product runs in a forked sibling that sees only the rows sent to it;
+    sent picks what the product reads of each row, the whole row by default.
+    The product runs in a forked sibling that sees only what is sent to it;
     without os.fork, or with another thread running (a fork copies only the
     calling thread, and locks the others hold would stay held in the copy),
     it runs here afterwards.
     """
+    sent = sent or (lambda row: row)
     threads = sys.modules.get("threading")  # no module, no other Python thread
     if not hasattr(os, "fork") or (threads and threads.active_count() > 1):
         solved = list(rows)
-        return solved, list(product(solved))
+        return solved, list(product(map(sent, solved)))
     rows_in, rows_out = os.pipe()
     reply_in, reply_out = os.pipe()
     pid = os.fork()
@@ -492,7 +497,7 @@ def _beside(rows: Iterator, product) -> tuple[list, list[list[int]]]:
             solved = []
             for row in rows:
                 solved.append(row)
-                _send(out, row)
+                _send(out, sent(row))
             out.close()
             reply = next(_received(src), None)
         if reply is None:
@@ -591,9 +596,15 @@ def solve(which: FamilyName | str, trunc: int = 12) -> FamilySolution:
     # the abstraction rule: r_n(x) = b_(n-1)(x + 1) for classes, else the
     # same-order derivative, back-substituted under the degree bound n
     abstract = (lambda row, n: _taylor_shift_row(row)) if quotient else _back_substitute
-    pairs, product_rows = _beside(
-        _rows_pair(trunc, egf, abstract), lambda rows: _pair_products(rows, egf, quotient)
-    )
+    rows = _rows_pair(trunc, egf, abstract)
+    if quotient:
+        # b b(x+1) reads b alone, so only b_n is sent
+        pairs, product_rows = _beside(
+            rows, lambda bs: _pair_products(((b, None) for b in bs), egf, True),
+            sent=lambda pair: pair[0],
+        )
+    else:
+        pairs, product_rows = _beside(rows, lambda received: _pair_products(received, egf, False))
     b, r = (BiSeries(flavor, rows, trunc=trunc) for rows in zip(*pairs))
     product = BiSeries(flavor, product_rows, trunc=trunc)
     checked = _verify_quotient(b, r, product) if quotient else _verify_pair(b, r, product, egf, pair)

@@ -1,10 +1,14 @@
 """Linear lambda terms in de Bruijn form: parsing, printing, classification.
 
-A term is an immutable tree built from four node kinds.  Bound variables
-carry a de Bruijn index (0 refers to the innermost enclosing binder); free
-variables carry a position into an ambient ordered context.  Two named terms
-are alpha-equivalent exactly when their de Bruijn trees are equal, so
+A term is a tree built from four node kinds.  Bound variables carry a de
+Bruijn index (0 refers to the innermost enclosing binder); free variables
+carry a position into an ambient ordered context.  Two named terms are
+alpha-equivalent exactly when their de Bruijn trees are equal, so
 structural equality doubles as the alpha-quotient.
+
+Nodes are plain slotted classes, and no node is mutated after construction,
+so subterms are shared freely.  A node equals only a node of its own kind
+with equal fields, and hashes as the tuple of its fields.
 
 A term-in-context over k free variables uses the positions 0..k-1, and a
 term is linear when every binder and every context position is referenced
@@ -14,35 +18,78 @@ exactly once.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from itertools import count
 from typing import Iterator, Sequence
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
+class _Atom:
+    """A variable: one integer index, compared and hashed as the tuple (index,)."""
+
+    __slots__ = ("index",)
+
+    def __init__(self, index: int) -> None:
+        self.index = index
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.index == other.index
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.index,))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__name__}(index={self.index!r})"
+
+
+class Var(_Atom):
     """Bound variable; the index counts enclosing binders, innermost first."""
 
-    index: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class FVar:
+class FVar(_Atom):
     """Free variable; the index is a position in the ambient context."""
 
-    index: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class App:
-    fun: "Term"
-    arg: "Term"
+    __slots__ = ("fun", "arg")
+
+    def __init__(self, fun: Term, arg: Term) -> None:
+        self.fun = fun
+        self.arg = arg
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is App:
+            return (self.fun, self.arg) == (other.fun, other.arg)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.fun, self.arg))
+
+    def __repr__(self) -> str:
+        return f"App(fun={self.fun!r}, arg={self.arg!r})"
 
 
-@dataclass(frozen=True, slots=True)
 class Lam:
-    body: "Term"
+    __slots__ = ("body",)
+
+    def __init__(self, body: Term) -> None:
+        self.body = body
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Lam:
+            return (self.body,) == (other.body,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.body,))
+
+    def __repr__(self) -> str:
+        return f"Lam(body={self.body!r})"
 
 
 Term = Var | FVar | App | Lam
@@ -113,7 +160,6 @@ class Kind(Enum):
     NOT_NORMAL = "not-normal"
 
 
-@dataclass(frozen=True, slots=True)
 class Classification:
     """Outcome of the neutral/normal analysis of a linear term.
 
@@ -122,8 +168,11 @@ class Classification:
     less.
     """
 
-    kind: Kind
-    occurrences: int
+    __slots__ = ("kind", "occurrences")
+
+    def __init__(self, kind: Kind, occurrences: int) -> None:
+        self.kind = kind
+        self.occurrences = occurrences
 
     @property
     def is_normal(self) -> bool:

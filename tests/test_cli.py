@@ -265,6 +265,24 @@ class TestUsageErrors:
         assert code == 2
         assert "--cap-override must be non-negative" in err
 
+    # one check for every command that takes a cap, before any other check on it:
+    # a maps count over no edge never reaches the census's own cap check
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "--family", "classes-neutral", "--producer", "maps", "--max-n", "0"),
+            ("count", "--family", "classes-neutral", "--producer", "maps", "--max-n", "2"),
+            ("count", "--family", "linear", "--max-n", "2"),
+            ("maps-census", "--edges", "2"),
+            ("maps-census", "--edges", "3", "--variant", "trivalent", "--list"),
+            ("crosscheck", "--max-n", "1", "--json"),
+        ],
+    )
+    def test_negative_cap_override(self, capsys, argv):
+        code, err = usage_error(capsys, *argv, "--cap-override", "-1")
+        assert code == 2
+        assert "--cap-override must be non-negative" in err
+
     @pytest.mark.parametrize(
         "family, producer", [("linear", "enum"), ("classes-normal", "enum"), ("linear", "series")]
     )

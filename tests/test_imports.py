@@ -64,6 +64,26 @@ class TestImportFootprint:
         argv = ("series-table", "--family", "PB", "--max-n", "3", *extra)
         assert modules_loaded(*argv) & {"dataclasses", "inspect", "json"} == set()
 
+    # no layer is a dataclass any more, so no command pays for dataclasses and inspect
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("crosscheck", "--max-n", "1"),
+            ("crosscheck", "--max-n", "1", "--json"),
+            ("count", "--family", "classes-neutral", "--max-n", "2", "--json"),
+            ("count", "--family", "classes-neutral", "--producer", "maps", "--max-n", "2"),
+            ("list", "--family", "normal", "--n", "2", "--ascii"),
+            ("list", "--family", "classes-normal", "--n", "2", "--json"),
+            ("maps-census", "--edges", "2", "--list"),
+            ("series-table", "--family", "QB", "--max-n", "3", "--json"),
+        ],
+    )
+    def test_no_command_loads_dataclasses(self, argv):
+        assert modules_loaded(*argv) & {"dataclasses", "inspect"} == set()
+
+    def test_text_crosscheck_loads_no_json(self):
+        assert "json" not in modules_loaded("crosscheck", "--max-n", "1")
+
     def test_help_loads_no_json(self):
         assert "json" not in modules_loaded("--help")
 

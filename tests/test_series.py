@@ -517,6 +517,29 @@ def test_product_runs_in_a_sibling_process(monkeypatch, tmp_path):
     assert_no_child()
 
 
+@pytest.mark.parametrize("which", ["L", "LB", "PB", "QB"])
+def test_what_crosses_the_pipe(monkeypatch, which):
+    # the caller sends each row the product reads: L_n, the pair (b_n, r_n),
+    # or, since b b(x+1) reads no r, b_n alone for the quotient pair
+    sent = []
+    real = series._send
+    caller = os.getpid()
+
+    def spy(out, value):
+        if os.getpid() == caller:
+            sent.append(value)
+        real(out, value)
+
+    monkeypatch.setattr(series, "_send", spy)
+    sol = solve(which, 12)
+    rows = [s.rows for s in sol.system.values()]
+    if which in ("L", "QB"):
+        assert sent == rows[0]
+    else:
+        assert sent == list(zip(*rows))
+    assert_no_child()
+
+
 @pytest.mark.parametrize("trunc", [0, 1, 2, 12])
 @pytest.mark.parametrize("which", list(FamilyName))
 def test_in_process_product_gives_the_same_solution(monkeypatch, which, trunc):
