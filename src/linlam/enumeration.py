@@ -1,12 +1,13 @@
 """Exhaustive generation of linear term families, indexed by size and context.
 
 Every family is generated by its grammar over an explicit context: a tuple
-of non-empty ordered groups of the leaves that refer to the variables in
-scope, FVar(j) for a free position and Var(i) for the binder i levels up.
-An application gives the function a prefix of every group and the
-argument the rest; a leaf needs exactly one atom left and emits it as it
-is.  An abstraction run of r binders moves every binder of the context r
-levels up, and Var(r - 1), ..., Var(0) join it.  No generated body is
+of non-empty ordered groups of atoms, one per variable in scope.  An atom
+is a plain int, so contexts hash and compare at C speed: free position j
+is -1 - j, and the binder i levels up is i.  An application gives the
+function a prefix of every group and the argument the rest; a leaf needs
+exactly one atom left and emits its FVar or Var, built once per atom and
+kept by the census.  An abstraction run of r binders moves every binder of
+the context r levels up, and r - 1, ..., 0 join it.  No generated body is
 rewritten, and every qualifying term is produced exactly once.
 
 The families differ only in how new atoms (the k free positions of a cell,
@@ -14,9 +15,11 @@ the binders of a run) join the context.  The labeled families (linear,
 neutral, normal) put each atom in a group of its own, so an application
 splits the context into any two subsets.  The planar families put every
 atom in the one group, so the function takes a front block.  The class
-grammar makes each set of new atoms one new group.  Cuts come out ordered
-by the number of atoms the function takes, then by their positions in the
-flattened context: on singleton groups the order of itertools.combinations.
+grammar makes each set of new atoms one new group.  A context's cut table
+lists its cuts by the number of atoms the function takes, then by their
+positions in the flattened context: on singleton groups the order of
+itertools.combinations.  A rule visits only the entries whose atom counts
+both sides can use, so it never asks for a sub-result that must be empty.
 
 The class grammar runs the neutral and normal rules to build one
 representative of every exchange class with unlabeled free variables (see
@@ -31,24 +34,25 @@ outermost binder first, one more.
 
 Sub-results are shared within a census.  The terms a rule generates for a
 strictly smaller size and a context are built once, kept as a tuple, and
-reused by every application that needs them, as is each context's list of
-cuts; the cell being generated, and the abstraction bodies under it, stay
-generators.  Each call of enum_family, enum_cells (which count_family uses)
-or class_cells has its own census and drops it on return.  No term is
-mutated after construction, so sharing subterm objects between them is safe.
+reused by every application that needs them, as are each context's cut
+table and each atom's variable node; the cell being generated, and the
+abstraction bodies under it, stay generators.  Each call of enum_family,
+enum_cells (which count_family uses) or class_cells has its own census and
+drops it on return.  No term is mutated after construction, so sharing
+subterm objects between them is safe.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import accumulate, chain, product
+from itertools import chain, product, starmap
 from typing import Callable, Iterator
 
 from .names import CLASS_FAMILIES, Family
 from .terms import App, FVar, Lam, Term, Var
 
 
-Atom = FVar | Var
+Atom = int
 Group = tuple[Atom, ...]
 Context = tuple[Group, ...]
 Cut = tuple[Context, Context]
@@ -71,31 +75,25 @@ def _new_group(ctx: Context, atoms: Group) -> Context:
     return ctx + (atoms,) if atoms else ctx
 
 
-def _cuts(ctx: Context) -> list[Cut]:
-    # the function takes a prefix of every group, the argument the rest,
-    # ordered by atoms taken, then by their flattened positions
-    offsets = list(accumulate(map(len, ctx), initial=0))
-
-    def taken(cut: tuple[int, ...]) -> tuple[int, list[int]]:
-        positions = [p for o, i in zip(offsets, cut) for p in range(o, o + i)]
-        return len(positions), positions
-
-    return [
-        (
-            tuple(g[:i] for g, i in zip(ctx, cut) if i),
-            tuple(g[i:] for g, i in zip(ctx, cut) if i < len(g)),
-        )
-        for cut in sorted(product(*(range(len(g) + 1) for g in ctx)), key=taken)
-    ]
-
-
-def _shift(a: Atom, r: int) -> Atom:
-    return Var(a.index + r) if isinstance(a, Var) else a
+def _cuts(ctx: Context) -> list[list[Cut]]:
+    # the function takes a prefix of every group, the argument the rest;
+    # entry t holds the cuts giving the function t atoms, ordered by their
+    # flattened positions: the longest prefix of the first group first, and
+    # so on
+    table: list[list[Cut]] = [[((), ())]]
+    for g in reversed(ctx):
+        grown: list[list[Cut]] = [[] for _ in range(len(table) + len(g))]
+        for i in range(len(g), -1, -1):
+            head = (g[:i],) if i else ()
+            tail = (g[i:],) if i < len(g) else ()
+            for t, cuts in enumerate(table, i):
+                grown[t] += [(head + fun, tail + arg) for fun, arg in cuts]
+        table = grown
+    return table
 
 
-def _run(r: int) -> Group:
-    # the atoms of a run of r binders, outermost first
-    return tuple(Var(i) for i in range(r - 1, -1, -1))
+def _variable(a: Atom) -> Var | FVar:
+    return Var(a) if a >= 0 else FVar(-1 - a)
 
 
 class _Census:
@@ -103,18 +101,20 @@ class _Census:
 
     A sub-result is the tuple of terms one rule generates for a size and a
     context; it is built the first time it is asked for and then reused, as
-    is each context's list of cuts.  Each public call makes its own census
-    and drops it on return.
+    are each context's cut table and the variable node of each atom.  Each
+    public call makes its own census and drops it on return.
     """
 
     def __init__(self, rule: Rule, join: Join) -> None:
         self.rule = rule
         self.join = join
         self.memo: dict[tuple[Rule, int, Context], tuple[Term, ...]] = {}
-        self.split: Callable[[Context], list[Cut]] = cache(_cuts)
+        self.leaf: Callable[[Atom], Var | FVar] = cache(_variable)
+        self.split: Callable[[Context], list[list[Cut]]] = cache(_cuts)
 
     def cell(self, n: int, k: int) -> Iterator[Term]:
-        return self.rule(self, n, self.join((), tuple(FVar(j) for j in range(k))))
+        # free position j is the atom -1 - j
+        return self.rule(self, n, self.join((), tuple(range(-1, -1 - k, -1))))
 
     def shared(self, rule: Rule, n: int, ctx: Context) -> tuple[Term, ...]:
         key = (rule, n, ctx)
@@ -124,8 +124,10 @@ class _Census:
         return terms
 
     def bind(self, ctx: Context, r: int) -> Context:
-        # the body of a run of r binders
-        return self.join(tuple(tuple(_shift(a, r) for a in g) for g in ctx), _run(r))
+        # the body of a run of r binders: every binder of ctx moves r levels
+        # up, and the run's atoms join outermost first
+        shifted = tuple(tuple(a + r if a >= 0 else a for a in g) for g in ctx)
+        return self.join(shifted, tuple(range(r - 1, -1, -1)))
 
 
 Rule = Callable[[_Census, int, Context], Iterator[Term]]
@@ -141,16 +143,14 @@ def _linear(c: _Census, n: int, ctx: Context) -> Iterator[Term]:
     if n < 1 or atoms > n:
         return
     if n == 1 and atoms == 1:
-        yield ctx[0][0]
+        yield c.leaf(ctx[0][0])
+    cuts = c.split(ctx)
     for n_fun in range(1, n):
         n_arg = n - n_fun
-        for fun_ctx, arg_ctx in c.split(ctx):
+        # each side has at least as many leaves as atoms
+        for fun_ctx, arg_ctx in chain.from_iterable(cuts[max(0, atoms - n_arg):n_fun + 1]):
             funs = c.shared(_linear, n_fun, fun_ctx)
-            if funs:
-                args = c.shared(_linear, n_arg, arg_ctx)
-                for fun in funs:
-                    for arg in args:
-                        yield App(fun, arg)
+            yield from starmap(App, product(funs, c.shared(_linear, n_arg, arg_ctx)))
     for body in _linear(c, n, c.bind(ctx, 1)):
         yield Lam(body)
 
@@ -161,16 +161,15 @@ def _neutral(c: _Census, n: int, ctx: Context) -> Iterator[Term]:
     if n < 0 or not atoms or atoms > n + 1:
         return
     if n == 0 and atoms == 1:
-        yield ctx[0][0]
+        yield c.leaf(ctx[0][0])
+    cuts = c.split(ctx)
     for n_fun in range(n):
         n_arg = n - n_fun
-        for fun_ctx, arg_ctx in c.split(ctx):
+        # the neutral function takes its head and at most n_fun + 1 atoms,
+        # the normal argument at most n_arg
+        for fun_ctx, arg_ctx in chain.from_iterable(cuts[max(1, atoms - n_arg):n_fun + 2]):
             funs = c.shared(_neutral, n_fun, fun_ctx)
-            if funs:
-                args = c.shared(_normal, n_arg, arg_ctx)
-                for fun in funs:
-                    for arg in args:
-                        yield App(fun, arg)
+            yield from starmap(App, product(funs, c.shared(_normal, n_arg, arg_ctx)))
 
 
 def _normal(c: _Census, n: int, ctx: Context) -> Iterator[Term]:
@@ -178,7 +177,9 @@ def _normal(c: _Census, n: int, ctx: Context) -> Iterator[Term]:
     atoms = sum(map(len, ctx))
     if n < 1 or atoms > n:
         return
-    yield from _neutral(c, n - 1, ctx)
+    if atoms:
+        # a neutral body needs a free head
+        yield from _neutral(c, n - 1, ctx)
     for r in range(1, n - atoms + 1):
         for body in _neutral(c, n - 1, c.bind(ctx, r)):
             for _ in range(r):

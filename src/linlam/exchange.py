@@ -155,9 +155,9 @@ def class_groups(family: Family, n: int, k: int = 0) -> list[list[Term]]:
 
 
 def groups_to_text(groups: list[list[Term]], renderer) -> str:
-    """Blank-line-separated class groups, one rendered term per line."""
-    blocks = ["\n".join(renderer(t) for t in group) for group in groups]
-    return "\n\n".join(blocks) + "\n"
+    """Blank-line-separated class groups, one rendered term per line; no groups, no text."""
+    blocks = ["\n".join(renderer(t) for t in group) + "\n" for group in groups]
+    return "\n".join(blocks)
 
 
 def groups_to_json(groups: list[list[Term]], renderer) -> str:

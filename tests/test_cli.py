@@ -106,6 +106,21 @@ class TestList:
         _, out = run(capsys, "list", "--family", "neutral", "--n", "1", "--k", "2")
         assert sorted(out.splitlines()) == ["x(y)", "y(x)"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--family", "normal", "--n", "0"),
+            ("--family", "classes-normal", "--n", "0"),
+            ("--family", "classes-neutral", "--n", "1", "--k", "5"),
+        ],
+        ids=["normal", "classes-normal", "classes-neutral"],
+    )
+    def test_empty_listing_prints_nothing(self, capsys, argv):
+        _, out = run(capsys, "list", *argv)
+        assert out == ""
+        _, out = run(capsys, "list", *argv, "--json")
+        assert json.loads(out) == []
+
 
 class TestSeriesTable:
     def test_closed_diagonal(self, capsys):

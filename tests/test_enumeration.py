@@ -2,11 +2,20 @@ import hashlib
 import json
 import tracemalloc
 from collections.abc import Iterator
+from functools import partial
 from itertools import islice
 
 import pytest
 
-from linlam.enumeration import CountTable, Family, count_family, enum_cells, enum_family
+from linlam import enumeration
+from linlam.enumeration import (
+    CountTable,
+    Family,
+    class_cells,
+    count_family,
+    enum_cells,
+    enum_family,
+)
 from linlam.series import FamilyName, solve
 from linlam.terms import Kind, check_linear, classify, parse, render, to_ascii
 
@@ -214,6 +223,62 @@ def test_stripping_outer_binders_of_closed_normals_gives_neutrals():
         if n <= 4:
             for k, c in by_k.items():
                 assert c == neutral_counts.count(n - 1, k)
+
+
+def _drain(cells):
+    return sum(1 for _, _, cell in cells for _ in cell)
+
+
+def test_census_hashes_no_term_node(monkeypatch):
+    # memo keys and cut tables hold plain ints, so a census never hashes or
+    # compares a variable, application or abstraction node
+    from linlam.terms import App, FVar, Lam, Var, _Atom
+
+    calls = []
+    for cls in (_Atom, App, Lam):
+        for name in ("__hash__", "__eq__"):
+            def spy(self, *other, _orig=getattr(cls, name), _name=f"{cls.__name__}.{name}"):
+                calls.append(_name)
+                return _orig(self, *other)
+
+            monkeypatch.setattr(cls, name, spy)
+    assert hash(App(Lam(Var(0)), FVar(0)))
+    assert calls  # the spies are live
+    calls.clear()
+    assert count_family(Family.NEUTRAL, 4).total() > 0
+    assert _drain(class_cells(Family.NORMAL, 4)) > 0
+    assert sum(1 for _ in enum_family(Family.PLANAR_NORMAL, 4, 1)) > 0
+    assert calls == []
+
+
+# A term of size n (n leaves for the linear and normal rules, n + 1 for the
+# neutral one) uses every atom of its context at least once, and a neutral
+# term's head is free in it
+_FEASIBLE = {
+    "_linear": lambda n, atoms: n >= 1 and atoms <= n,
+    "_neutral": lambda n, atoms: n >= 0 and 1 <= atoms <= n + 1,
+    "_normal": lambda n, atoms: n >= 1 and atoms <= n,
+}
+
+
+_CENSUSES = {f.value: partial(enum_cells, f, 4) for f in Family} | {
+    f"classes-{f.value}": partial(class_cells, f, 4) for f in enumeration.CLASS_FAMILIES
+}
+
+
+@pytest.mark.parametrize("name", list(_CENSUSES))
+def test_rules_ask_only_for_feasible_sub_results(monkeypatch, name):
+    asked = []
+    shared = enumeration._Census.shared
+
+    def spy(self, rule, n, ctx):
+        asked.append((rule.__name__, n, sum(map(len, ctx))))
+        return shared(self, rule, n, ctx)
+
+    monkeypatch.setattr(enumeration._Census, "shared", spy)
+    assert _drain(_CENSUSES[name]()) > 0
+    assert asked
+    assert [a for a in asked if not _FEASIBLE[a[0]](a[1], a[2])] == []
 
 
 class TestCountTable:

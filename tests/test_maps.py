@@ -4,6 +4,8 @@ from itertools import permutations
 from typing import Iterator
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linlam.maps import (
     Perm,
@@ -130,6 +132,31 @@ class TestCanonicalCode:
         m = RootedMap(sigma=(0, 1, 2, 3), alpha=(1, 0, 3, 2))
         with pytest.raises(ValueError):
             canonical_code(m)
+
+
+@cache
+def _census_list(n_edges: int) -> list[RootedMap]:
+    return census_maps(n_edges, Variant.ALL_GENERA)
+
+
+@st.composite
+def relabeled_maps(draw):
+    # a census map up to 5 edges and any dart relabeling, the root's included
+    n_edges = draw(st.integers(1, 5))
+    maps = _census_list(n_edges)
+    m = maps[draw(st.integers(0, len(maps) - 1))]
+    return m, draw(st.permutations(range(2 * n_edges)))
+
+
+class TestConjugationProperties:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(relabeled_maps())
+    def test_invariants_survive_relabeling(self, case):
+        m, relabel = case
+        image = conjugate(m, relabel)
+        assert canonical_code(image) == canonical_code(m)
+        assert genus(image) == genus(m)
+        assert image.n_vertices == m.n_vertices
 
 
 class TestCensus:
