@@ -1,10 +1,15 @@
 """Three-way cross-checks between enumeration, series, and map censuses.
 
-Every check compares two independently computed tables (or a table against
-an embedded reference prefix) and records the first divergence, if any.
-The embedded data also includes the thirty smallest closed normal terms and
-their grouping into exchange classes, which pins the parser, the printer,
-the classifier, and the canonicalizer against known ground truth.
+The crosscheck is one list of rows, each a tuple (name, producers,
+indices, problem): what the row checks, which producers it sets against
+each other, the window it covers, and the first problem found there, or
+None.  Most rows compare two independently computed tables, or a table
+against an embedded reference prefix, as (where, got, want) triples, and
+one divergence finder reports the first got != want, or a window that
+compared nothing.  The embedded data also includes the thirty smallest
+closed normal terms and their grouping into exchange classes, which pins
+the parser, the printer, the classifier, and the canonicalizer against
+known ground truth.
 """
 
 from __future__ import annotations
@@ -127,77 +132,60 @@ class CrossCheckReport:
         return json.dumps(data, indent=2) + "\n"
 
 
-def _row(name: str, producers: str, indices: str, problem: str | None) -> CheckResult:
-    return CheckResult(name, producers, indices, problem is None, problem)
+# Series always reach order SERIES_TRUNC, and further for a larger max_n or
+# a longer reference prefix; trivalent censuses stop at TRIVALENT_EDGE_CAP edges.
+SERIES_TRUNC = 12
+TRIVALENT_EDGE_CAP = 12
 
 
-def _compare(name: str, producers: str, indices: str, pairs) -> CheckResult:
-    """A row over (where, got, want) triples: fail at the first got != want, or on none."""
+def _divergence(triples) -> str | None:
+    """The first of (where, got, want) with got != want, or "compared nothing" on none."""
     problem = "compared nothing"
-    for where, a, b in pairs:
-        if a != b:
-            return _row(name, producers, indices, f"first divergence at {where}: {a} != {b}")
+    for where, got, want in triples:
+        if got != want:
+            return f"first divergence at {where}: {got} != {want}"
         problem = None
-    return _row(name, producers, indices, problem)
+    return problem
 
 
-def _compare_cells(
-    name: str,
-    producers: str,
-    left,
-    right,
-    max_n: int,
-    first_n: int = 0,
-) -> CheckResult:
-    """Compare two (n, k) -> count views over the triangular window from first_n."""
-    cells = (
+def _cells(left, right, max_n: int, first_n: int = 0) -> tuple[str, str | None]:
+    """Two (n, k) -> count views over the triangular window from first_n."""
+    return f"n<={max_n}", _divergence(
         (f"(n={n}, k={k})", left(n, k), right(n, k))
         for n in range(first_n, max_n + 1)
         for k in range(n + 2)
     )
-    return _compare(name, producers, f"n<={max_n}", cells)
 
 
-def _compare_sequences(
-    name: str, producers: str, got: list[int], want: list[int], first_n: int = 1
-) -> CheckResult:
+def _prefix(got, want, first_n: int = 1) -> tuple[str, str | None]:
+    """Two sequences from size first_n, over the shorter of the two."""
     limit = min(len(got), len(want))
-    pairs = ((f"n={first_n + i}", got[i], want[i]) for i in range(limit))
-    return _compare(name, producers, f"n={first_n}..{first_n + limit - 1}", pairs)
+    return f"n={first_n}..{first_n + limit - 1}", _divergence(
+        (f"n={first_n + i}", got[i], want[i]) for i in range(limit)
+    )
 
 
-def _check_reference_terms(enum_cap: int) -> CheckResult:
-    """Pin parsing, printing, classification, and enumeration to the embedded list."""
+def _reference_terms_problem(top: int) -> str | None:
+    # the first way parsing, printing, classification or the enumeration of
+    # sizes 1..top disagrees with the embedded list, if any
     parsed: dict[int, set[Term]] = {1: set(), 2: set(), 3: set()}
-    problem = None
     for text in NORMAL_TERMS_UP_TO_SIZE_3:
         t = terms.parse(text)
         if not terms.check_linear(t, 0):
-            problem = f"{text!r} is not closed linear"
-            break
+            return f"{text!r} is not closed linear"
         cls = terms.classify(t)
         if not cls.is_normal:
-            problem = f"{text!r} did not classify as normal"
-            break
+            return f"{text!r} did not classify as normal"
         if terms.parse(terms.render(t)) != t:
-            problem = f"{text!r} failed the print/parse round trip"
-            break
+            return f"{text!r} failed the print/parse round trip"
         parsed[cls.normal_size].add(t)
-    top = min(enum_cap, 3)
-    if problem is None and top < 1:
-        problem = "compared nothing"
-    if problem is None:
-        for n in range(1, top + 1):
-            enumerated = set(enumeration.enum_family(Family.NORMAL, n, 0))
-            if enumerated != parsed[n]:
-                problem = f"size {n}: enumerated {len(enumerated)} != listed {len(parsed[n])}"
-                break
-    return _row(
-        "terms:embedded-list",
-        "parser/classifier vs enumeration",
-        f"sizes 1..{top}",
-        problem,
-    )
+    if top < 1:
+        return "compared nothing"
+    for n in range(1, top + 1):
+        enumerated = set(enumeration.enum_family(Family.NORMAL, n, 0))
+        if enumerated != parsed[n]:
+            return f"size {n}: enumerated {len(enumerated)} != listed {len(parsed[n])}"
+    return None
 
 
 def _grouping_problem() -> str | None:
@@ -224,18 +212,17 @@ def _grouping_problem() -> str | None:
     return None
 
 
-def _check_reference_grouping() -> CheckResult:
-    """The embedded class grouping must match canonical-form deduplication."""
-    return _row(
-        "classes:embedded-grouping",
-        "canonicalize vs embedded classes",
-        "sizes 1..3",
-        _grouping_problem(),
-    )
-
-
 def _class_construction_problem(top: int) -> str | None:
-    # the first cell where construction and deduplication disagree, if any
+    """The first cell where class construction and deduplication disagree, if any.
+
+    In every cell of sizes 1..top of both class families, the class grammar
+    must build each representative once, and build exactly the leaders of
+    the groups that class_groups finds by deduplication whose free
+    variables first occur in order; k! times as many leaders must exist in
+    all, one per relabeling.
+    """
+    if top < 1:
+        return "compared nothing"
     for family in enumeration.CLASS_FAMILIES:
         for n, k, cell in enumeration.class_cells(family, top):
             if n < 1:
@@ -257,112 +244,19 @@ def _class_construction_problem(top: int) -> str | None:
     return None
 
 
-def _check_class_construction(enum_cap: int) -> CheckResult:
-    """Constructed class representatives against canonical-form deduplication.
+def _walk_maps(
+    maps_n: int, maps_cap: int
+) -> tuple[CountTable, list[int], str | None, str | None]:
+    """One pass over each all-genera census from 1 to maps_n edges.
 
-    In every cell of sizes 1..min(enum_cap, 3) of both class families, the
-    class grammar must build each representative once, and build exactly
-    the leaders of the groups that class_groups finds by deduplication
-    whose free variables first occur in order; k! times as many leaders
-    must exist in all, one per relabeling.
+    Returns the (edges, vertices) table, the number of genus-0 maps per
+    edge count, and the first Euler parity problem and the first pair of
+    isomorphic maps found, if any; the census never consults
+    canonical_code, so the codes are an independent check.
     """
-    top = min(enum_cap, 3)
-    problem = _class_construction_problem(top) if top >= 1 else "compared nothing"
-    return _row(
-        "classes:construction-vs-dedup",
-        "class grammar vs canonical dedup",
-        f"sizes 1..{top}",
-        problem,
-    )
-
-
-def run_crosscheck(
-    max_n: int = 5,
-    *,
-    enum_cap: int = 5,
-    maps_cap: int = 5,
-    trivalent_edge_cap: int = 12,
-    series_trunc: int = 12,
-    references: ReferenceSequences = REFERENCE_SEQUENCES,
-) -> CrossCheckReport:
-    """Run every producer agreement check and reference comparison.
-
-    Enumeration runs to min(max_n, enum_cap); the all-genera map census,
-    whose genus-0 maps are the planar census, runs to min(max_n, maps_cap);
-    trivalent censuses cover closed sizes 2 <= m <= max_n with 3(m - 1)
-    within trivalent_edge_cap.  Series always reach series_trunc.
-    """
-    enum_n = min(max_n, enum_cap)
-    maps_n = min(max_n, maps_cap)
-    trunc = max(series_trunc, max_n, len(references.linear_closed))
-    report = CrossCheckReport(
-        [
-            _check_reference_terms(enum_n),
-            _check_reference_grouping(),
-            _check_class_construction(enum_n),
-        ]
-    )
-
-    # one solve per equation system: L alone, and each mutual pair once
-    systems = (FamilyName.L, FamilyName.LB, FamilyName.PB, FamilyName.QB)
-    solved = [series.solve(name, trunc) for name in systems]
-    solutions = {which: s for sol in solved for which, s in sol.system.items()}
-    checked = {equation: cells for sol in solved for equation, cells in sol.checked.items()}
-
-    neutral_classes = exchange.count_classes(Family.NEUTRAL, enum_n)
-    normal_classes = exchange.count_classes(Family.NORMAL, enum_n)
-
-    # enumeration against the series coefficients, bivariately
-    enum_tables: dict[Family, CountTable] = {}
-    for family in Family:
-        table = enum_tables[family] = enumeration.count_family(family, enum_n)
-        report.checks.append(
-            _compare_cells(
-                f"enum-vs-series:{family.value}",
-                "enumeration vs series",
-                table.count,
-                solutions[FAMILY_SERIES[family.value]].coeff,
-                enum_n,
-            )
-        )
-
-    # exchange classes against the quotient series, both families
-    report.checks += [
-        _compare_cells(
-            "classes-vs-series:neutral",
-            "class grammar vs quotient series",
-            neutral_classes.unlabeled.count,
-            solutions[FamilyName.QB].coeff,
-            enum_n,
-        ),
-        _compare_sequences(
-            "classes-vs-series:normal-closed",
-            "class grammar vs quotient series",
-            normal_classes.unlabeled.closed_sequence(1, enum_n),
-            solutions[FamilyName.QR].closed_sequence(1, enum_n),
-        ),
-    ]
-
-    # solve checked the fixpoint equation B(z,x) = x + z B(z,x) B(z,x+1) and
-    # the closed column it implies; these rows report the cells it compared
-    equation_rows = [
-        ("series:quotient-route-agreement", "mutual pair vs fixpoint equation",
-         f"n<={trunc}", series.FIXPOINT),
-        ("series:closed-quotient-shift", "closed normal classes vs shifted neutral row sums",
-         f"n=1..{trunc}", series.CLOSED_SHIFT),
-    ]
-    for name, producers, indices, equation in equation_rows:
-        problem = None if checked[equation] else "compared nothing"
-        report.checks.append(_row(name, producers, indices, problem))
-
-    # map censuses: triple agreement with the quotient series and the classes.
-    # One pass over each all-genera census tallies the (edges, vertices)
-    # table, counts its genus-0 maps, checks every map's genus and, as the
-    # census never consults canonical_code, that no two maps share a code
     census = CountTable(max_n=maps_n, provenance="maps:all")
     planar_totals = []
-    parity_problem = None
-    repeat_problem = None
+    parity_problem = repeat_problem = None
     for n in range(1, maps_n + 1):
         codes: dict[bytes, maps.RootedMap] = {}
         planar_totals.append(0)
@@ -378,108 +272,121 @@ def run_crosscheck(
                 repeat_problem = f"maps {twin.to_text()} and {m.to_text()} are isomorphic"
     if not census.total():
         parity_problem = repeat_problem = "compared nothing"
+    return census, planar_totals, parity_problem, repeat_problem
 
-    # maps start at one edge
-    report.checks += [
-        _compare_cells(
-            "series-vs-census:bivariate",
-            "quotient series vs map census",
-            solutions[FamilyName.QB].coeff,
-            census.count,
-            maps_n,
-            first_n=1,
-        ),
-        _compare_cells(
-            "classes-vs-census:bivariate",
-            "class grammar vs map census",
-            neutral_classes.unlabeled.count,
-            census.count,
-            min(maps_n, enum_n),
-            first_n=1,
-        ),
-        _row(
-            "maps:euler-parity",
-            "faces/genus consistency",
-            f"n<={maps_n}",
-            parity_problem,
-        ),
-        _row(
-            "maps:distinct-codes",
-            "census maps pairwise non-isomorphic",
-            f"n<={maps_n}",
-            repeat_problem,
-        ),
-    ]
 
-    # planar maps against planar closed terms, shifted by one size
-    report.checks.append(
-        _compare_sequences(
-            "census:planar-vs-planar-terms",
-            "planar census vs planar series",
-            planar_totals,
-            [
-                solutions[FamilyName.PR].coeff(n + MAP_SIZE_SHIFT, 0)
-                for n in range(1, maps_n + 1)
-            ],
-        )
-    )
+def run_crosscheck(
+    max_n: int = 5,
+    *,
+    enum_cap: int = 5,
+    maps_cap: int = 5,
+    references: ReferenceSequences = REFERENCE_SEQUENCES,
+) -> CrossCheckReport:
+    """Run every producer agreement check and reference comparison.
 
-    # trivalent maps against all closed linear terms: size m <-> 3(m-1) edges
-    trivalent_sizes = [
-        m for m in range(2, max_n + 1) if 3 * (m - 1) <= trivalent_edge_cap
-    ]
-    if trivalent_sizes:
-        got = [
-            maps.census(3 * (m - 1), Variant.TRIVALENT).total()
-            for m in trivalent_sizes
-        ]
-        want = [solutions[FamilyName.L].coeff(m, 0) for m in trivalent_sizes]
-        report.checks.append(
-            _compare_sequences(
-                "census:trivalent-vs-linear-terms",
-                "trivalent census vs linear series",
-                got,
-                want,
-                first_n=trivalent_sizes[0],
-            )
-        )
-
-    # embedded reference prefixes, each over the shorter of the prefix and
-    # its producer's window
+    Enumeration runs to min(max_n, enum_cap); the all-genera map census,
+    whose genus-0 maps are the planar census, runs to min(max_n, maps_cap);
+    trivalent censuses cover closed sizes 2 <= m <= max_n with 3(m - 1)
+    within TRIVALENT_EDGE_CAP.  Series reach SERIES_TRUNC, max_n and the
+    longest reference prefix.
+    """
+    enum_n = min(max_n, enum_cap)
+    maps_n = min(max_n, maps_cap)
+    top = min(enum_n, 3)
     linear, normal = references.linear_closed, references.normal_closed
     planar, quotient = references.planar_normal_closed, references.quotient_closed
     longest = max(map(len, (linear, normal, planar, quotient)))
+    trunc = max(SERIES_TRUNC, max_n, longest)
+    rows = [
+        ("terms:embedded-list", "parser/classifier vs enumeration", f"sizes 1..{top}",
+         _reference_terms_problem(top)),
+        ("classes:embedded-grouping", "canonicalize vs embedded classes", "sizes 1..3",
+         _grouping_problem()),
+        ("classes:construction-vs-dedup", "class grammar vs canonical dedup",
+         f"sizes 1..{top}", _class_construction_problem(top)),
+    ]
+
+    # one solve per equation system: L alone, and each mutual pair once
+    systems = (FamilyName.L, FamilyName.LB, FamilyName.PB, FamilyName.QB)
+    solved = [series.solve(name, trunc) for name in systems]
+    solutions = {which: s for sol in solved for which, s in sol.system.items()}
+    checked = {equation: cells for sol in solved for equation, cells in sol.checked.items()}
+
+    neutral_classes = exchange.count_classes(Family.NEUTRAL, enum_n).unlabeled
+    normal_classes = exchange.count_classes(Family.NORMAL, enum_n).unlabeled
+    class_closed = normal_classes.closed_sequence(1, enum_n)
+
+    # enumeration against the series coefficients, bivariately
+    enum_tables: dict[Family, CountTable] = {}
+    for family in Family:
+        table = enum_tables[family] = enumeration.count_family(family, enum_n)
+        series_coeff = solutions[FAMILY_SERIES[family.value]].coeff
+        rows.append((f"enum-vs-series:{family.value}", "enumeration vs series",
+                     *_cells(table.count, series_coeff, enum_n)))
+
+    # exchange classes against the quotient series, both families; solve
+    # checked the fixpoint equation B(z,x) = x + z B(z,x) B(z,x+1) and the
+    # closed column it implies, and the series: rows report the cells it compared
+    by_classes = "class grammar vs quotient series"
+    rows += [
+        ("classes-vs-series:neutral", by_classes,
+         *_cells(neutral_classes.count, solutions[FamilyName.QB].coeff, enum_n)),
+        ("classes-vs-series:normal-closed", by_classes,
+         *_prefix(class_closed, solutions[FamilyName.QR].closed_sequence(1, enum_n))),
+        ("series:quotient-route-agreement", "mutual pair vs fixpoint equation",
+         f"n<={trunc}", None if checked[series.FIXPOINT] else "compared nothing"),
+        ("series:closed-quotient-shift", "closed normal classes vs shifted neutral row sums",
+         f"n=1..{trunc}", None if checked[series.CLOSED_SHIFT] else "compared nothing"),
+    ]
+
+    # map censuses, which start at one edge: triple agreement with the
+    # quotient series and the classes, and planar maps against planar
+    # closed terms, shifted by one size
+    census, planar_totals, parity_problem, repeat_problem = _walk_maps(maps_n, maps_cap)
+    planar_terms = [solutions[FamilyName.PR].coeff(n + MAP_SIZE_SHIFT, 0)
+                    for n in range(1, maps_n + 1)]
+    rows += [
+        ("series-vs-census:bivariate", "quotient series vs map census",
+         *_cells(solutions[FamilyName.QB].coeff, census.count, maps_n, first_n=1)),
+        ("classes-vs-census:bivariate", "class grammar vs map census",
+         *_cells(neutral_classes.count, census.count, min(maps_n, enum_n), first_n=1)),
+        ("maps:euler-parity", "faces/genus consistency", f"n<={maps_n}", parity_problem),
+        ("maps:distinct-codes", "census maps pairwise non-isomorphic", f"n<={maps_n}",
+         repeat_problem),
+        ("census:planar-vs-planar-terms", "planar census vs planar series",
+         *_prefix(planar_totals, planar_terms)),
+    ]
+
+    # trivalent maps against all closed linear terms: size m <-> 3(m-1) edges
+    sizes = [m for m in range(2, max_n + 1) if 3 * (m - 1) <= TRIVALENT_EDGE_CAP]
+    if sizes:
+        got = [maps.census(3 * (m - 1), Variant.TRIVALENT).total() for m in sizes]
+        want = [solutions[FamilyName.L].coeff(m, 0) for m in sizes]
+        rows.append(("census:trivalent-vs-linear-terms", "trivalent census vs linear series",
+                     *_prefix(got, want, first_n=sizes[0])))
+
+    # embedded reference prefixes, each over the shorter of the prefix and
+    # its producer's window
     closed = {which: sol.closed_sequence(1, longest) for which, sol in solutions.items()}
     enum_closed = {f: table.closed_sequence(1, enum_n) for f, table in enum_tables.items()}
     by_series, by_enum = "series vs embedded prefix", "enumeration vs embedded prefix"
-    prefix_checks = [
-        ("references:series-linear", by_series, closed[FamilyName.L], linear),
-        ("references:series-normal", by_series, closed[FamilyName.LR], normal),
-        ("references:series-planar-normal", by_series, closed[FamilyName.PR], planar),
-        ("references:series-quotient", by_series, closed[FamilyName.QR], quotient),
-        ("references:enum-linear", by_enum, enum_closed[Family.LINEAR], linear),
-        ("references:enum-normal", by_enum, enum_closed[Family.NORMAL], normal),
-        ("references:enum-planar-normal", by_enum, enum_closed[Family.PLANAR_NORMAL], planar),
-        (
-            "references:classes-quotient",
-            "class grammar vs embedded prefix",
-            normal_classes.unlabeled.closed_sequence(1, enum_n),
-            quotient,
-        ),
-        (
-            "references:maps-quotient",
-            "map census vs embedded prefix (one-size shift)",
-            [sum(census.row(n)) for n in range(1, maps_n + 1)],
-            quotient[MAP_SIZE_SHIFT:],
-        ),
-        (
-            "references:maps-planar",
-            "planar census vs embedded prefix (one-size shift)",
-            planar_totals,
-            planar[MAP_SIZE_SHIFT:],
-        ),
+    rows += [
+        ("references:series-linear", by_series, *_prefix(closed[FamilyName.L], linear)),
+        ("references:series-normal", by_series, *_prefix(closed[FamilyName.LR], normal)),
+        ("references:series-planar-normal", by_series, *_prefix(closed[FamilyName.PR], planar)),
+        ("references:series-quotient", by_series, *_prefix(closed[FamilyName.QR], quotient)),
+        ("references:enum-linear", by_enum, *_prefix(enum_closed[Family.LINEAR], linear)),
+        ("references:enum-normal", by_enum, *_prefix(enum_closed[Family.NORMAL], normal)),
+        ("references:enum-planar-normal", by_enum,
+         *_prefix(enum_closed[Family.PLANAR_NORMAL], planar)),
+        ("references:classes-quotient", "class grammar vs embedded prefix",
+         *_prefix(class_closed, quotient)),
+        ("references:maps-quotient", "map census vs embedded prefix (one-size shift)",
+         *_prefix([sum(census.row(n)) for n in range(1, maps_n + 1)], quotient[MAP_SIZE_SHIFT:])),
+        ("references:maps-planar", "planar census vs embedded prefix (one-size shift)",
+         *_prefix(planar_totals, planar[MAP_SIZE_SHIFT:])),
     ]
-    for name, producers, got, want in prefix_checks:
-        report.checks.append(_compare_sequences(name, producers, got, list(want)))
-
-    return report
+    return CrossCheckReport([
+        CheckResult(name, producers, indices, problem is None, problem)
+        for name, producers, indices, problem in rows
+    ])

@@ -32,13 +32,6 @@ DEFAULT_EDGE_CAPS = {
 }
 
 
-def invert(p: Sequence[int]) -> Perm:
-    inv = [0] * len(p)
-    for i, v in enumerate(p):
-        inv[v] = i
-    return tuple(inv)
-
-
 def cycles(p: Sequence[int]) -> list[list[int]]:
     """Cycle decomposition; each cycle starts at its minimum, cycles sorted."""
     seen = [False] * len(p)
@@ -69,22 +62,6 @@ def standard_alpha(n_edges: int) -> Perm:
     for e in range(n_edges):
         out += [2 * e + 1, 2 * e]
     return tuple(out)
-
-
-def _is_transitive(sigma: Sequence[int], alpha: Sequence[int]) -> bool:
-    n = len(sigma)
-    seen = bytearray(n)
-    seen[0] = 1
-    stack = [0]
-    reached = 1
-    while stack:
-        d = stack.pop()
-        for e in (sigma[d], alpha[d]):
-            if not seen[e]:
-                seen[e] = 1
-                reached += 1
-                stack.append(e)
-    return reached == n
 
 
 class RootedMap:
@@ -135,8 +112,7 @@ class RootedMap:
                 raise ValueError("alpha must be a fixed-point-free involution")
         if not 0 <= self.root < n:
             raise ValueError("root dart out of range")
-        if not _is_transitive(self.sigma, self.alpha):
-            raise ValueError("sigma and alpha must act transitively on the darts")
+        canonical_code(self)  # raises ValueError unless sigma and alpha act transitively
 
     def to_text(self) -> str:
         return (
@@ -157,10 +133,15 @@ def conjugate(m: RootedMap, relabel: Sequence[int]) -> RootedMap:
 
 
 def faces(m: RootedMap) -> Perm:
-    """The face permutation: follow alpha inverse, then sigma inverse."""
-    sigma_inv = invert(m.sigma)
-    alpha_inv = invert(m.alpha)
-    return tuple(sigma_inv[alpha_inv[d]] for d in range(len(m.sigma)))
+    """The face permutation: follow alpha inverse, then sigma inverse.
+
+    Dart alpha(sigma(d)) goes back to d, so one pass fills it in.
+    """
+    sigma, alpha = m.sigma, m.alpha
+    phi = [0] * len(sigma)
+    for d in range(len(sigma)):
+        phi[alpha[sigma[d]]] = d
+    return tuple(phi)
 
 
 def genus(m: RootedMap) -> int:
@@ -196,7 +177,7 @@ def canonical_code(m: RootedMap) -> bytes:
                 num[e] = len(order)
                 order.append(e)
     if len(order) != n:
-        raise ValueError("canonical_code requires a transitive map")
+        raise ValueError("sigma and alpha must act transitively on the darts")
     sigma_rel = [0] * n
     alpha_rel = [0] * n
     for d in range(n):

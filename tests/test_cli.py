@@ -13,6 +13,15 @@ from linlam.crosscheck import (
 )
 from test_series import CSV_SHA256_AT_40
 
+# sha256 of the crosscheck's stdout at --max-n 3, recorded before the rows
+# became one list
+CROSSCHECK_SHA256_AT_3 = {
+    ("crosscheck", "--max-n", "3"):
+        "4d6ad68fb2858cbe724cf0135031a720c44da25eef98c23325b90e247719cb2a",
+    ("crosscheck", "--max-n", "3", "--json"):
+        "9bd4cd55779033b361c5686dcc4cd47bece24644d1d9b85a5377af6eada5be83",
+}
+
 
 def swap_free(t: terms.Term) -> terms.Term:
     # exchange free positions 0 and 1: the same class, relabeled
@@ -415,9 +424,30 @@ class TestCrosscheck:
         assert "10 != 11" in bad_check.divergence
 
     def test_empty_sequence_fails(self):
-        result = crosscheck._compare_sequences("row", "a vs b", [], [1, 2])
-        assert not result.ok
-        assert result.divergence == "compared nothing"
+        assert crosscheck._divergence([]) == "compared nothing"
+        assert crosscheck._prefix([], [1, 2]) == ("n=1..0", "compared nothing")
+
+    @pytest.mark.parametrize("argv", list(CROSSCHECK_SHA256_AT_3))
+    def test_report_is_pinned(self, capsys, argv):
+        _, out = run(capsys, *argv)
+        assert hashlib.sha256(out.encode()).hexdigest() == CROSSCHECK_SHA256_AT_3[argv]
+
+    def test_series_window_reaches_the_longest_prefix(self):
+        # A000698: a(n) = (2n-1)!! - sum_{k=1}^{n-1} (2k-1)!! a(n-k), from n=1
+        odd_fact = [1]
+        for k in range(1, 15):
+            odd_fact.append(odd_fact[-1] * (2 * k - 1))
+        a = [1]
+        for n in range(1, 15):
+            a.append(odd_fact[n] - sum(odd_fact[k] * a[n - k] for k in range(1, n)))
+        quotient = tuple(a[1:])
+        assert quotient[:6] == (1, 2, 10, 74, 706, 8162)
+        assert quotient[12] == 7213364729026
+        report = run_crosscheck(2, references=ReferenceSequences(quotient_closed=quotient))
+        row = next(c for c in report.checks if c.name == "references:series-quotient")
+        assert row.ok, row.divergence
+        assert row.indices == "n=1..14"
+        assert report.ok
 
     def test_zero_caps_fail(self, capsys):
         code, out = run(capsys, "crosscheck", "--max-n", "2", "--cap-override", "0")
