@@ -23,10 +23,16 @@ from .terms import FVar, Term
 
 
 class ReferenceSequences:
-    """Closed-term count prefixes, starting at size 1, with OEIS labels."""
+    """Closed-term count prefixes, starting at size 1, and a fixed table of OEIS labels."""
 
     __slots__ = ("linear_closed", "normal_closed", "planar_normal_closed",
-                 "quotient_closed", "oeis")
+                 "quotient_closed")
+
+    oeis = {
+        "linear_closed": "A062980",
+        "planar_normal_closed": "A000168",
+        "quotient_closed": "A000698",
+    }
 
     def __init__(
         self,
@@ -34,17 +40,11 @@ class ReferenceSequences:
         normal_closed: tuple[int, ...] = (1, 3, 26, 367, 7142, 176766),
         planar_normal_closed: tuple[int, ...] = (1, 2, 9, 54, 378, 2916),
         quotient_closed: tuple[int, ...] = (1, 2, 10, 74, 706, 8162),
-        oeis: dict[str, str] | None = None,
     ) -> None:
         self.linear_closed = linear_closed
         self.normal_closed = normal_closed
         self.planar_normal_closed = planar_normal_closed
         self.quotient_closed = quotient_closed
-        self.oeis = {
-            "linear_closed": "A062980",
-            "planar_normal_closed": "A000168",
-            "quotient_closed": "A000698",
-        } if oeis is None else oeis
 
 
 REFERENCE_SEQUENCES = ReferenceSequences()

@@ -85,9 +85,10 @@ def canonicalize(t: Term) -> Term:
         body = body.body
     body = canonicalize(body)
     order = [v.index for v in occurrences(body) if isinstance(v, Var) and v.index < block]
-    if len(order) != block:
-        raise ValueError("canonicalize requires a linear term")
     perm = {b: block - 1 - rank for rank, b in enumerate(order)}
+    # order's entries lie in range(block): a permutation of it iff block of them, all distinct
+    if len(order) != block or len(perm) != block:
+        raise ValueError("canonicalize requires a linear term")
     body = _rebind(body, perm)
     for _ in range(block):
         body = Lam(body)

@@ -156,7 +156,7 @@ def genus(m: RootedMap) -> int:
     return g
 
 
-def canonical_code(m: RootedMap) -> bytes:
+def canonical_code(m: RootedMap) -> tuple[int, ...]:
     """Relabel darts by first visit from the root and emit the tables.
 
     The traversal explores the sigma-successor before the alpha-partner, so
@@ -183,7 +183,7 @@ def canonical_code(m: RootedMap) -> bytes:
     for d in range(n):
         sigma_rel[num[d]] = num[sigma[d]]
         alpha_rel[num[d]] = num[alpha[d]]
-    return bytes(sigma_rel) + bytes(alpha_rel) + bytes([0])
+    return tuple(sigma_rel + alpha_rel)
 
 
 # ---------------------------------------------------------------------------

@@ -354,16 +354,11 @@ class BiSeries:
             raise ValueError("truncation mismatch")
         egf = self.flavor is Flavor.EGF
         left = [_form(row, egf) for row in self.rows]
-        if other is self:
-            # a square: each unordered pair of rows once
-            rows = [_convolve(_square_terms(left, n), egf) for n in range(len(left))]
-        else:
-            right = [_form(row, egf) for row in other.rows]
-            rows = [
-                _convolve([(1, left[i], right[n - i]) for i in range(n + 1)], egf)
-                for n in range(len(left))
-            ]
-        return self._like(rows)
+        right = [_form(row, egf) for row in other.rows]
+        return self._like(
+            _convolve([(1, left[i], right[n - i]) for i in range(n + 1)], egf)
+            for n in range(len(left))
+        )
 
     __mul__ = mul
 
@@ -382,10 +377,9 @@ class BiSeries:
         self._require(Flavor.OGF, "taylor_shift")
         return self._like([_taylor_shift_row(row) for row in self.rows])
 
-    def z_shift(self, by: int = 1) -> "BiSeries":
-        """Multiply by z^by, dropping overflow past the truncation."""
-        rows = [[] for _ in range(by)] + self.rows[: self.trunc + 1 - by]
-        return self._like(rows)
+    def z_shift(self) -> "BiSeries":
+        """Multiply by z, dropping overflow past the truncation."""
+        return self._like([[], *self.rows[:-1]])
 
     def closed_sequence(self, first: int = 1, last: int | None = None) -> list[int]:
         last = self.trunc if last is None else last

@@ -12,7 +12,10 @@ with equal fields, and hashes as the tuple of its fields.
 
 A term-in-context over k free variables uses the positions 0..k-1, and a
 term is linear when every binder and every context position is referenced
-exactly once.
+exactly once.  One walk decides both linearity and the neutral/normal
+class: it keeps a use counter per enclosing binder and counts each free
+position, and check_linear and classify read its result through one
+predicate on the free positions.
 """
 
 from __future__ import annotations
@@ -96,62 +99,7 @@ Term = Var | FVar | App | Lam
 
 
 # ---------------------------------------------------------------------------
-# Linearity
-
-
-def _linearity(t: Term) -> tuple[bool, dict[int, int]]:
-    """Scan a term once; report binder discipline and free-position usage.
-
-    Returns ``(wellformed_and_binders_linear, free_counts)`` where the flag
-    is True iff no bound index escapes its binders and every binder is used
-    exactly once, and ``free_counts`` maps context positions to occurrence
-    counts.
-    """
-    use: dict[int, int] = {}
-    free: dict[int, int] = {}
-    stack: list[int] = []
-    ok = True
-    fresh = count()
-
-    def walk(node: Term) -> None:
-        nonlocal ok
-        if isinstance(node, Var):
-            if 0 <= node.index < len(stack):
-                use[stack[-1 - node.index]] += 1
-            else:
-                ok = False
-        elif isinstance(node, FVar):
-            if node.index >= 0:
-                free[node.index] = free.get(node.index, 0) + 1
-            else:
-                ok = False
-        elif isinstance(node, App):
-            walk(node.fun)
-            walk(node.arg)
-        else:
-            binder = next(fresh)
-            use[binder] = 0
-            stack.append(binder)
-            walk(node.body)
-            stack.pop()
-
-    walk(t)
-    ok = ok and all(c == 1 for c in use.values())
-    return ok, free
-
-
-def check_linear(t: Term, context_size: int = 0) -> bool:
-    """True iff every binder and every context position is used exactly once."""
-    ok, free = _linearity(t)
-    return (
-        ok
-        and len(free) == context_size
-        and all(free.get(j) == 1 for j in range(context_size))
-    )
-
-
-# ---------------------------------------------------------------------------
-# Neutral / normal classification
+# Linearity and the neutral / normal classification
 
 
 class Kind(Enum):
@@ -191,20 +139,49 @@ class Classification:
         return self.occurrences - 1
 
 
-def _classify(t: Term) -> tuple[Kind, int]:
-    if isinstance(t, (Var, FVar)):
-        return Kind.NEUTRAL, 1
-    if isinstance(t, App):
-        fun_kind, fun_occ = _classify(t.fun)
-        arg_kind, arg_occ = _classify(t.arg)
-        occ = fun_occ + arg_occ
-        if fun_kind is Kind.NEUTRAL and arg_kind is not Kind.NOT_NORMAL:
-            return Kind.NEUTRAL, occ
-        return Kind.NOT_NORMAL, occ
-    body_kind, body_occ = _classify(t.body)
-    if body_kind is Kind.NOT_NORMAL:
-        return Kind.NOT_NORMAL, body_occ
-    return Kind.NORMAL_ONLY, body_occ
+def _walk(t: Term) -> tuple[Kind, int, dict[int, int]] | None:
+    """Scan a term once: its kind, its occurrence count, each free position's count.
+
+    Returns None when a bound index escapes its binders or a binder is not
+    used exactly once.
+    """
+    uses: list[int] = []  # one counter per enclosing binder, innermost last
+    free: dict[int, int] = {}
+
+    def walk(node: Term) -> tuple[Kind, int] | None:
+        if isinstance(node, Var):
+            if not 0 <= node.index < len(uses):
+                return None
+            uses[-1 - node.index] += 1
+            return Kind.NEUTRAL, 1
+        if isinstance(node, FVar):
+            free[node.index] = free.get(node.index, 0) + 1
+            return Kind.NEUTRAL, 1
+        if isinstance(node, App):
+            fun, arg = walk(node.fun), walk(node.arg)
+            if fun is None or arg is None:
+                return None
+            neutral = fun[0] is Kind.NEUTRAL and arg[0] is not Kind.NOT_NORMAL
+            return Kind.NEUTRAL if neutral else Kind.NOT_NORMAL, fun[1] + arg[1]
+        uses.append(0)
+        body = walk(node.body)
+        if uses.pop() != 1 or body is None:
+            return None
+        return Kind.NOT_NORMAL if body[0] is Kind.NOT_NORMAL else Kind.NORMAL_ONLY, body[1]
+
+    found = walk(t)
+    return None if found is None else (*found, free)
+
+
+def _over_context(free: dict[int, int], k: int) -> bool:
+    """Every free position 0..k-1 is used once, and no other position is used."""
+    return free == dict.fromkeys(range(k), 1)
+
+
+def check_linear(t: Term, context_size: int = 0) -> bool:
+    """True iff every binder and every context position is used exactly once."""
+    found = _walk(t)
+    return found is not None and _over_context(found[2], context_size)
 
 
 def classify(t: Term) -> Classification:
@@ -215,12 +192,10 @@ def classify(t: Term) -> Classification:
     normal.  Anything containing an abstraction applied to an argument is not
     normal.  Raises ValueError on non-linear input.
     """
-    ok, free = _linearity(t)
-    k = len(free)
-    if not ok or any(free.get(j) != 1 for j in range(k)):
+    found = _walk(t)
+    if found is None or not _over_context(found[2], len(found[2])):
         raise ValueError("classify requires a linear term over a contiguous context")
-    kind, occ = _classify(t)
-    return Classification(kind, occ)
+    return Classification(found[0], found[1])
 
 
 # ---------------------------------------------------------------------------

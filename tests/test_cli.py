@@ -1,6 +1,8 @@
 import argparse
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -736,3 +738,45 @@ def test_crosscheck_exercises_every_operation(monkeypatch, capsys, tmp_path):
     assert cli.main(["count", "--family", "normal", "--closed", "--max-n", "2"]) == 0
     assert cli.main(["list", "--family", "normal", "--closed", "--n", "1"]) == 0
     capsys.readouterr()
+
+
+def readme_commands():
+    """(argv, comment) for each `linlam` line of README's "Command line" block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        assert argv[0] == "linlam", line
+        yield argv[1:], comment.strip()
+
+
+def normal_size_2_terms(out):
+    found = [terms.classify(terms.parse(line)) for line in out.splitlines()]
+    return len(found) == 3 and all(c.is_normal and c.normal_size == 2 for c in found)
+
+
+def ten_groups_of_26_terms(out):
+    groups = [g.split("\n") for g in out.strip("\n").split("\n\n")]
+    return len(groups) == 10 and sum(map(len, groups)) == 26
+
+
+# what each comment in README's command block says the command prints, by comment
+README_CLAIMS = {
+    "1 3 26 367": lambda out: out.split() == ["1", "3", "26", "367"],
+    "the three size-2 terms": normal_size_2_terms,
+    "10 groups, 26 terms": ten_groups_of_26_terms,
+    "1 2 10 74 706 8162": lambda out: out.split() == ["1", "2", "10", "74", "706", "8162"],
+    "edges,vertices,count": lambda out: out.splitlines()[0] == "edges,vertices,count",
+}
+
+
+def test_readme_command_examples(capsys):
+    seen = set()
+    for argv, comment in readme_commands():
+        code, out = run(capsys, *argv)
+        assert code == 0, argv
+        if comment in README_CLAIMS:
+            assert README_CLAIMS[comment](out), (argv, out)
+            seen.add(comment)
+    assert seen == set(README_CLAIMS)

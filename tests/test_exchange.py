@@ -96,6 +96,15 @@ class TestCanonicalize:
         with pytest.raises(ValueError):
             canonicalize(parse("\\x. \\y. x"))
 
+    def test_rejects_a_run_with_one_binder_used_twice(self):
+        # two occurrences for a run of two binders, but not one for each
+        twice_x, twice_y = parse("\\x. \\y. x(x)"), parse("\\x. \\y. y(y)")
+        for t in (twice_x, twice_y):
+            with pytest.raises(ValueError):
+                canonicalize(t)
+        with pytest.raises(ValueError):
+            is_isomorphic(twice_x, twice_y)
+
     def test_idempotent_and_exchange_invariant_up_to_size_4(self):
         for n in range(5):
             for k in range(n + 2):

@@ -29,6 +29,12 @@ LINK = RootedMap(sigma=(0, 1), alpha=(1, 0))  # one edge, two vertices
 LOOP = RootedMap(sigma=(1, 0), alpha=(1, 0))  # one edge, one vertex
 
 
+def flower(n_edges):
+    # one vertex whose rotation visits the darts in order, so each edge is a loop
+    darts = 2 * n_edges
+    return RootedMap(tuple((d + 1) % darts for d in range(darts)), standard_alpha(n_edges))
+
+
 def root_fixing_relabelings(dart_count):
     for rest in permutations(range(1, dart_count)):
         yield (0,) + rest
@@ -93,10 +99,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             RootedMap(sigma=(0,), alpha=(0,)).validate()
 
+    def test_one_vertex_map_with_129_edges_passes(self):
+        # 258 darts: more labels than one byte holds
+        flower(129).validate()
+
 
 class TestCanonicalCode:
     def test_loop_and_link_differ(self):
         assert canonical_code(LOOP) != canonical_code(LINK)
+
+    def test_codes_past_one_byte_of_labels(self):
+        m = flower(129)
+        darts = list(range(1, 258))
+        random.Random(129).shuffle(darts)
+        assert canonical_code(conjugate(m, (0, *darts))) == canonical_code(m)
+        # the reversed rotation sends the root away from its own edge's other dart
+        mirror = RootedMap(tuple(m.sigma.index(d) for d in range(258)), m.alpha)
+        assert canonical_code(mirror) != canonical_code(m)
 
     def test_exactly_two_one_edge_maps(self):
         codes = set()

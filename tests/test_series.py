@@ -288,7 +288,7 @@ class TestPackedKernel:
                 BiSeries(flavor, [random_row(rng, rng.randint(0, 40)) for _ in range(trunc + 1)])
                 for _ in range(2)
             )
-            # a square takes each unordered pair of rows once, weight 2 off the diagonal
+            # the square (a, a) takes the general product, as every other pair does
             for left, right in ((a, b), (a, a)):
                 want = []
                 for n in range(trunc + 1):

@@ -1,4 +1,9 @@
+from collections import Counter
+from functools import cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linlam.terms import (
     App,
@@ -220,3 +225,88 @@ class TestInvariantsOverSmallTerms:
             names = default_context(k)
             for t in cell:
                 assert parse(render(t, names), names) == t
+
+
+# Random trees of every node kind, indices from -1 up, so most are not
+# linear: a binder goes unused or is used twice, an index escapes, or a
+# free position is negative, repeated or skipped.
+variables = st.builds(Var, st.integers(-1, 3)) | st.builds(FVar, st.integers(-1, 3))
+random_trees = st.recursive(
+    variables, lambda sub: st.builds(App, sub, sub) | st.builds(Lam, sub), max_leaves=10
+)
+
+
+@cache
+def small_linear_terms():
+    from linlam.enumeration import Family, enum_family
+
+    families = (Family.LINEAR, Family.NEUTRAL, Family.NORMAL)
+    return [t for f in families for n in range(5) for k in range(3) for t in enum_family(f, n, k)]
+
+
+def replace_leaf(t, i, leaf):
+    """t with its i-th variable, depth first, replaced by leaf; and the count left of i."""
+    if isinstance(t, (Var, FVar)):
+        return (leaf if i == 0 else t), i - 1
+    if isinstance(t, App):
+        fun, i = replace_leaf(t.fun, i, leaf)
+        arg, i = replace_leaf(t.arg, i, leaf)
+        return App(fun, arg), i
+    body, i = replace_leaf(t.body, i, leaf)
+    return Lam(body), i
+
+
+@st.composite
+def near_linear_terms(draw):
+    # a linear, neutral or normal term of size <= 4, perhaps with one
+    # variable replaced, so that every kind turns up among the linear ones
+    t = draw(st.sampled_from(small_linear_terms()))
+    if draw(st.booleans()):
+        t, _ = replace_leaf(t, draw(st.integers(0, 4)), draw(variables))
+    return t
+
+
+def subterms(t, depth=0):
+    """Every node of t with the number of binders above it."""
+    yield t, depth
+    if isinstance(t, App):
+        yield from subterms(t.fun, depth)
+        yield from subterms(t.arg, depth)
+    elif isinstance(t, Lam):
+        yield from subterms(t.body, depth + 1)
+
+
+def uses_of_binder(lam):
+    """Occurrences of the binder of lam: Vars in its body whose index equals their depth there."""
+    return sum(1 for u, d in subterms(lam.body) if isinstance(u, Var) and u.index == d)
+
+
+def oracle(t):
+    """(k if t is linear over the context 0..k-1, else None; its kind; its leaf count)."""
+    nodes = list(subterms(t))
+    escapes = any(isinstance(u, Var) and not 0 <= u.index < d for u, d in nodes)
+    binders_once = all(uses_of_binder(u) == 1 for u, _ in nodes if isinstance(u, Lam))
+    free = Counter(u.index for u, _ in nodes if isinstance(u, FVar))
+    k = len(free)
+    contiguous = free == Counter(range(k))
+    linear_k = k if not escapes and binders_once and contiguous else None
+    redex = any(isinstance(u, App) and isinstance(u.fun, Lam) for u, _ in nodes)
+    # a normal term is neutral exactly when it is not an abstraction
+    kind = Kind.NOT_NORMAL if redex else Kind.NORMAL_ONLY if isinstance(t, Lam) else Kind.NEUTRAL
+    leaves = sum(1 for u, _ in nodes if isinstance(u, (Var, FVar)))
+    return linear_k, kind, leaves
+
+
+class TestOneWalkProperties:
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(random_trees | near_linear_terms())
+    def test_check_linear_and_classify_match_direct_counting(self, t):
+        linear_k, kind, leaves = oracle(t)
+        for k in range(5):
+            assert check_linear(t, k) == (k == linear_k), k
+        if linear_k is None:
+            with pytest.raises(ValueError, match="contiguous context"):
+                classify(t)
+        else:
+            c = classify(t)
+            assert (c.kind, c.occurrences) == (kind, leaves)
