@@ -38,12 +38,13 @@ reused by every application that needs them, as are each context's cut
 table and each atom's variable node; the cell being generated, and the
 abstraction bodies under it, stay generators.  Each call of enum_family,
 enum_cells (which count_family uses) or class_cells has its own census and
-drops it on return.  No term is mutated after construction, so sharing
-subterm objects between them is safe.
+drops it on return, but the censuses of one crosscheck share their cut
+tables and variables (_sharing); no term is mutated, so sharing is safe.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from functools import cache
 from itertools import chain, product, starmap
 from typing import Callable, Iterator
@@ -57,6 +58,7 @@ Group = tuple[Atom, ...]
 Context = tuple[Group, ...]
 Cut = tuple[Context, Context]
 Join = Callable[[Context, Group], Context]
+_shared: list = []  # per open _sharing block, innermost last: the caches every census takes
 
 
 def _singletons(ctx: Context, atoms: Group) -> Context:
@@ -96,21 +98,29 @@ def _variable(a: Atom) -> Var | FVar:
     return Var(a) if a >= 0 else FVar(-1 - a)
 
 
+@contextmanager
+def _sharing() -> Iterator[None]:
+    _shared.append((cache(_cuts), cache(_variable)))
+    try:
+        yield
+    finally:
+        _shared.pop()
+
+
 class _Census:
     """A grammar rule, a join rule, and the sub-results built so far.
 
     A sub-result is the tuple of terms one rule generates for a size and a
     context; it is built the first time it is asked for and then reused, as
-    are each context's cut table and the variable node of each atom.  Each
-    public call makes its own census and drops it on return.
+    are each context's cut table and atom's variable (shared in _sharing).
+    Each public call makes its own census and drops it on return.
     """
 
     def __init__(self, rule: Rule, join: Join) -> None:
         self.rule = rule
         self.join = join
         self.memo: dict[tuple[Rule, int, Context], tuple[Term, ...]] = {}
-        self.leaf: Callable[[Atom], Var | FVar] = cache(_variable)
-        self.split: Callable[[Context], list[list[Cut]]] = cache(_cuts)
+        self.split, self.leaf = _shared[-1] if _shared else (cache(_cuts), cache(_variable))
 
     def cell(self, n: int, k: int) -> Iterator[Term]:
         # free position j is the atom -1 - j

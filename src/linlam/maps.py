@@ -36,20 +36,27 @@ def cycles(p: Sequence[int]) -> list[list[int]]:
     """Cycle decomposition; each cycle starts at its minimum, cycles sorted."""
     seen = [False] * len(p)
     out: list[list[int]] = []
-    for start in range(len(p)):
-        if not seen[start]:
-            cur = []
-            d = start
-            while not seen[d]:
-                seen[d] = True
-                cur.append(d)
-                d = p[d]
-            out.append(cur)
+    for d in range(len(p)):
+        if not seen[d]:
+            out.append([])
+        while not seen[d]:  # walk the cycle from d, if new
+            seen[d] = True
+            out[-1].append(d)
+            d = p[d]
     return out
 
 
 def cycle_count(p: Sequence[int]) -> int:
-    return len(cycles(p))
+    seen = [False] * len(p)
+    count = 0
+    for d in range(len(p)):
+        if seen[d]:
+            continue
+        count += 1
+        while not seen[d]:
+            seen[d] = True
+            d = p[d]
+    return count
 
 
 def cycles_to_text(p: Sequence[int]) -> str:
@@ -287,9 +294,15 @@ def census_maps(
 def census(
     n_edges: int, variant: Variant = Variant.ALL_GENERA, cap_override: int | None = None
 ) -> CountTable:
-    """Tally the maps with n edges by vertex count, as cells (edges, vertices)."""
+    """Tally the maps with n edges by vertex count, as cells (edges, vertices);
+    trivalent maps, which all have 2n/3 vertices, are counted and never built."""
     table = CountTable(max_n=n_edges, provenance=f"maps:{variant.value}")
-    for m in census_maps(n_edges, variant, cap_override):
-        key = (n_edges, m.n_vertices)
-        table.entries[key] = table.entries.get(key, 0) + 1
+    if variant is Variant.TRIVALENT:
+        check_edge_count(n_edges, variant, cap_override)
+        count = sum(1 for _ in _trivalent_sigmas(2 * n_edges))
+        table.entries = {(n_edges, 2 * n_edges // 3): count} if count else {}
+    else:
+        for m in census_maps(n_edges, variant, cap_override):
+            key = (n_edges, m.n_vertices)
+            table.entries[key] = table.entries.get(key, 0) + 1
     return table

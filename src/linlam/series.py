@@ -35,7 +35,7 @@ for, and repacks only when a product asks for another X; q is even, so
 neighbouring rows share X and a solver packs each row about once per X.
 The evaluations live and die with the form: a solver's forms last for its
 solve, and each product of two series builds its own, as does the product
-of each equation check, in another process.
+of each equation check, in another process for a long series.
 
 An EGF row is first divided by i! term by term and put over its reduced
 common denominator D; the OGF product of two such rows is the EGF product
@@ -59,18 +59,18 @@ Every solution is re-checked, exactly, against its defining equations
 before being returned, and records each equation with the cells it compared.
 
 The check's one expensive operation, its product (L L, b r, or b b(x+1) for
-the quotient pair), runs beside the solver.  solve forks a sibling process
-at its start and writes each z-row to it through a pipe the moment the
-solver fixes it: L_n, the pair (b_n, r_n), or b_n alone for the quotient
-pair, whose product reads no r, as marshal data behind an 8-byte length.
-The sibling builds its own forms from those rows alone (and, for the
-quotient pair, its own Taylor shifts of b), computes product row n as soon
-as rows 0 .. n have come, and once the last row has come sends the
-product rows back the same way and leaves through os._exit, so it neither
-flushes the caller's stdio buffers nor runs its atexit hooks.  The caller
-compares the solution with the product and reaps the sibling on every path.
-Where os.fork is missing, or another Python thread runs, the same product
-generator consumes the collected rows in-process after the solver.
+the quotient pair), runs beside the solver.  From order _SIBLING_TRUNC up,
+solve forks a sibling process at its start and writes each z-row to it
+through a pipe the moment the solver fixes it: L_n, the pair (b_n, r_n), or
+b_n alone for the quotient pair, whose product reads no r, as marshal data
+behind an 8-byte length.  The sibling builds its own forms from those rows
+alone (and, for the quotient pair, its own Taylor shifts of b), computes
+product row n as soon as rows 0 .. n have come, and once the last row has
+come sends the product rows back the same way and leaves through os._exit,
+so it neither flushes the caller's stdio buffers nor runs its atexit hooks.
+The caller compares the solution with the product and reaps the sibling on
+every path.  Below that order, without os.fork, or with another Python
+thread running, the product consumes the rows in-process after the solver.
 
 The CSV export yields the table one z-row at a time.  FamilySolution is a
 plain slotted class and only the JSON export imports json, so printing the
@@ -455,18 +455,25 @@ def _received(src) -> Iterator:
         yield marshal.loads(data)
 
 
-def _beside(rows: Iterator, product, sent=None) -> tuple[list, list[list[int]]]:
+# In-process checks won at every order 8 to 40 for L, LB, PB and QB (2-core
+# Xeon VM, Python 3.11): at 12 the crosscheck's four took 4.7 ms, 13.1 ms
+# forked; at 40 L took 12.5 against 13.2 ms, LB 17.5 against 21.0 ms.  At 70
+# the sibling wins: all seven solves took 1.10 s forked against 1.22 s.
+_SIBLING_TRUNC = 48
+
+
+def _beside(rows: Iterator, product, fork: bool, sent=None) -> tuple[list, list[list[int]]]:
     """The solver's rows, and product(sent(row) for each row) computed beside the solver.
 
     sent picks what the product reads of each row, the whole row by default.
-    The product runs in a forked sibling that sees only what is sent to it;
-    without os.fork, or with another thread running (a fork copies only the
-    calling thread, and locks the others hold would stay held in the copy),
-    it runs here afterwards.
+    Under fork the product runs in a forked sibling that sees only what is
+    sent to it; otherwise, without os.fork, or with another thread running
+    (a fork copies only the calling thread, and locks the others hold would
+    stay held in the copy), it runs here afterwards.
     """
     sent = sent or (lambda row: row)
     threads = sys.modules.get("threading")  # no module, no other Python thread
-    if not hasattr(os, "fork") or (threads and threads.active_count() > 1):
+    if not (fork and hasattr(os, "fork")) or (threads and threads.active_count() > 1):
         solved = list(rows)
         return solved, list(product(map(sent, solved)))
     rows_in, rows_out = os.pipe()
@@ -570,16 +577,17 @@ def solve(which: FamilyName | str, trunc: int = 12) -> FamilySolution:
     solution is checked against its defining equations before returning; a
     failure raises ArithmeticError.  The check's product (L L, b r, or
     b b(x+1) for the quotient pair) is computed beside the solver, in a
-    sibling process when the platform can fork.  The record, checked, maps
-    each equation of the system to its cells compared: the
-    (trunc + 1)(trunc + 4)/2 cells k <= n + 1 of a series, or the trunc of
-    the closed column.
+    sibling process from order _SIBLING_TRUNC up if the platform can fork.
+    The record, checked, maps each equation of the system to its cells
+    compared: the (trunc + 1)(trunc + 4)/2 cells k <= n + 1 of a series, or
+    the trunc of the closed column.
     """
     which = FamilyName(which) if isinstance(which, str) else which
     if trunc < 0:
         raise ValueError("truncation must be non-negative")
+    fork = trunc >= _SIBLING_TRUNC
     if which is FamilyName.L:
-        rows, square = _beside(_rows_linear(trunc), _square_rows)
+        rows, square = _beside(_rows_linear(trunc), _square_rows, fork)
         series = BiSeries(Flavor.EGF, rows, trunc=trunc)
         checked = _verify_linear(series, BiSeries(Flavor.EGF, square, trunc=trunc))
         return FamilySolution(which, series, {which: series}, checked)
@@ -594,11 +602,11 @@ def solve(which: FamilyName | str, trunc: int = 12) -> FamilySolution:
     if quotient:
         # b b(x+1) reads b alone, so only b_n is sent
         pairs, product_rows = _beside(
-            rows, lambda bs: _pair_products(((b, None) for b in bs), egf, True),
+            rows, lambda bs: _pair_products(((b, None) for b in bs), egf, True), fork,
             sent=lambda pair: pair[0],
         )
     else:
-        pairs, product_rows = _beside(rows, lambda received: _pair_products(received, egf, False))
+        pairs, product_rows = _beside(rows, lambda got: _pair_products(got, egf, False), fork)
     b, r = (BiSeries(flavor, rows, trunc=trunc) for rows in zip(*pairs))
     product = BiSeries(flavor, product_rows, trunc=trunc)
     checked = _verify_quotient(b, r, product) if quotient else _verify_pair(b, r, product, egf, pair)

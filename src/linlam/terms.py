@@ -364,7 +364,7 @@ def render(t: Term, context: Sequence[str] = ()) -> str:
                 raise ValueError(f"unbound de Bruijn index {node.index}")
             return binders[-1 - node.index]
         if isinstance(node, FVar):
-            if node.index >= len(context):
+            if not 0 <= node.index < len(context):
                 raise ValueError(f"context has no position {node.index}")
             return context[node.index]
         if isinstance(node, App):
@@ -422,10 +422,8 @@ def from_ascii(text: str) -> Term:
         if tok == "A":
             fun = read()
             return App(fun, read())
-        if tok.startswith("V"):
-            return Var(int(tok[1:]))
-        if tok.startswith("F"):
-            return FVar(int(tok[1:]))
+        if tok[0] in "VF" and tok[1:].isdecimal():
+            return (Var if tok[0] == "V" else FVar)(int(tok[1:]))
         raise ValueError(f"bad token {tok!r} in term serialization")
 
     term = read()

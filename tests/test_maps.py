@@ -47,6 +47,11 @@ class TestPermutationBasics:
     def test_standard_alpha(self):
         assert standard_alpha(2) == (1, 0, 3, 2)
 
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.integers(0, 40).flatmap(lambda n: st.permutations(range(n))))
+    def test_cycle_count_counts_the_cycles(self, p):
+        assert cycle_count(p) == len(cycles(p))
+
 
 class TestFacesAndGenus:
     def test_link_map(self):
@@ -204,6 +209,16 @@ class TestCensus:
 
     def test_trivalent_requires_multiple_of_three(self):
         assert census(2, Variant.TRIVALENT).total() == 0
+
+    @pytest.mark.parametrize("n_edges", [3, 6, 9, 12])
+    def test_trivalent_census_tallies_the_listed_maps(self, n_edges):
+        tally = {}
+        for m in census_maps(n_edges, Variant.TRIVALENT):
+            key = (n_edges, m.n_vertices)
+            tally[key] = tally.get(key, 0) + 1
+        table = census(n_edges, Variant.TRIVALENT)
+        assert table.entries == tally
+        assert (table.max_n, table.provenance) == (n_edges, "maps:trivalent")
 
     def test_census_maps_are_valid_and_deterministic(self):
         reps = census_maps(2, Variant.ALL_GENERA)

@@ -421,6 +421,10 @@ def bump_row_20(rows, side=None):
         yield row
 
 
+# the least truncation whose check's product runs in a forked sibling
+FORKED = series._SIBLING_TRUNC
+
+
 class TestEquationChecksAreLive:
     """Run with the check's product in a forked sibling process."""
 
@@ -432,7 +436,7 @@ class TestEquationChecksAreLive:
         real = series._rows_linear
         monkeypatch.setattr(series, "_rows_linear", lambda trunc: bump_row_20(real(trunc)))
         with pytest.raises(ArithmeticError, match="linear family"):
-            solve(FamilyName.L, 24)
+            solve(FamilyName.L, FORKED)
 
     @pytest.mark.parametrize("which", [FamilyName.LB, FamilyName.LR, FamilyName.PB, FamilyName.PR])
     @pytest.mark.parametrize("side", [0, 1])
@@ -444,7 +448,7 @@ class TestEquationChecksAreLive:
 
         monkeypatch.setattr(series, "_rows_pair", wrong)
         with pytest.raises(ArithmeticError, match="family solution fails its equation"):
-            solve(which, 24)
+            solve(which, FORKED)
 
     @pytest.mark.parametrize("which", [FamilyName.QB, FamilyName.QR])
     def test_quotient_routes(self, monkeypatch, which):
@@ -464,7 +468,7 @@ class TestEquationChecksAreLive:
 
         monkeypatch.setattr(series, "_taylor_shift_row", wrong)
         with pytest.raises(ArithmeticError, match="fixpoint equation"):
-            solve(which, 24)
+            solve(which, FORKED)
         assert seen
 
     @pytest.mark.parametrize(
@@ -478,7 +482,7 @@ class TestEquationChecksAreLive:
 
         monkeypatch.setattr(series, "_rows_pair", wrong)
         with pytest.raises(ArithmeticError, match=message):
-            solve(FamilyName.QB, 24)
+            solve(FamilyName.QB, FORKED)
 
 
 class TestEquationChecksAreLiveInProcess(TestEquationChecksAreLive):
@@ -511,7 +515,7 @@ def test_product_runs_in_a_sibling_process(monkeypatch, tmp_path):
     for name in ("_square_rows", "_pair_products"):
         monkeypatch.setattr(series, name, spy(getattr(series, name)))
     for which in ("L", "LB", "PB", "QB"):
-        solve(which, 12)
+        solve(which, FORKED)
     pids = log.read_text().split()
     assert len(pids) == 4 and str(os.getpid()) not in pids
     assert_no_child()
@@ -531,7 +535,7 @@ def test_what_crosses_the_pipe(monkeypatch, which):
         real(out, value)
 
     monkeypatch.setattr(series, "_send", spy)
-    sol = solve(which, 12)
+    sol = solve(which, FORKED)
     rows = [s.rows for s in sol.system.values()]
     if which in ("L", "QB"):
         assert sent == rows[0]
@@ -540,7 +544,7 @@ def test_what_crosses_the_pipe(monkeypatch, which):
     assert_no_child()
 
 
-@pytest.mark.parametrize("trunc", [0, 1, 2, 12])
+@pytest.mark.parametrize("trunc", [0, 1, 2, 12, FORKED - 1, FORKED])
 @pytest.mark.parametrize("which", list(FamilyName))
 def test_in_process_product_gives_the_same_solution(monkeypatch, which, trunc):
     forked = solve(which, trunc)
@@ -550,13 +554,34 @@ def test_in_process_product_gives_the_same_solution(monkeypatch, which, trunc):
     assert list(here.checked.items()) == list(forked.checked.items())
 
 
+@pytest.mark.parametrize("trunc", [12, FORKED - 1])
+@pytest.mark.parametrize("which", list(FamilyName))
+def test_a_short_series_is_checked_without_a_fork(monkeypatch, which, trunc):
+    forks = []
+    real = os.fork
+
+    def spy():
+        forks.append(trunc)
+        return real()
+
+    monkeypatch.setattr(os, "fork", spy)
+    here = solve(which, trunc)
+    assert forks == []
+    monkeypatch.setattr(series, "_SIBLING_TRUNC", 0)
+    forked = solve(which, trunc)
+    assert forks == [trunc]
+    assert here.system == forked.system
+    assert list(here.checked.items()) == list(forked.checked.items())
+    assert_no_child()
+
+
 def test_no_child_is_left(monkeypatch):
-    solve(FamilyName.QB, 24)
+    solve(FamilyName.QB, FORKED)
     assert_no_child()
     real = series._rows_linear
     monkeypatch.setattr(series, "_rows_linear", lambda trunc: bump_row_20(real(trunc)))
     with pytest.raises(ArithmeticError, match="linear family"):
-        solve(FamilyName.L, 24)
+        solve(FamilyName.L, FORKED)
     assert_no_child()
 
     def broken(trunc):
@@ -567,7 +592,7 @@ def test_no_child_is_left(monkeypatch):
 
     monkeypatch.setattr(series, "_rows_linear", broken)
     with pytest.raises(RuntimeError, match="the solver broke at row 20"):
-        solve(FamilyName.L, 40)
+        solve(FamilyName.L, FORKED)
     assert_no_child()
 
 
@@ -575,7 +600,7 @@ class Hung(Exception):
     pass
 
 
-@pytest.mark.parametrize("trunc", [2, 40])
+@pytest.mark.parametrize("trunc", [FORKED, 70])
 def test_a_sibling_that_dies_without_replying(monkeypatch, trunc):
     caller = os.getpid()
 
@@ -706,6 +731,7 @@ def test_sibling_leaves_stdio_and_atexit_to_the_caller():
         "assert not sys.stdout.write_through and not sys.stdout.line_buffering\n"
         "print('before')\n"
         "atexit.register(print, 'at exit')\n"
-        "print(series.solve('LB', 12).checked['LB = x + LB LR'])\n"
+        f"print(series.solve('LB', {FORKED}).checked['LB = x + LB LR'])\n"
     )
-    assert python("-c", code).decode().splitlines() == ["before", "104", "at exit"]
+    cells = (FORKED + 1) * (FORKED + 4) // 2
+    assert python("-c", code).decode().splitlines() == ["before", str(cells), "at exit"]

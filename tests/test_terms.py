@@ -99,6 +99,11 @@ class TestRender:
         with pytest.raises(ValueError):
             render(FVar(0))
 
+    def test_negative_context_position_rejected(self):
+        # a negative position must not read the context from its end
+        with pytest.raises(ValueError, match="no position -1"):
+            render(FVar(-1), ("x", "y"))
+
 
 class TestAscii:
     def test_round_trip(self):
@@ -111,6 +116,11 @@ class TestAscii:
     def test_bad_token_rejected(self):
         with pytest.raises(ValueError):
             from_ascii("A F0")
+
+    @pytest.mark.parametrize("text", ["F-1", "V-1", "L V-2", "F", "F+1", "Fx"])
+    def test_malformed_index_rejected(self, text):
+        with pytest.raises(ValueError, match="bad token"):
+            from_ascii(text)
 
 
 class TestCheckLinear:
