@@ -76,7 +76,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def cmd_list(args: argparse.Namespace) -> int:
     from . import terms
-    k = 0 if args.closed else args.k
+    k = args.k  # --closed allows only the default k = 0
     show = terms.to_ascii if args.ascii else (
         lambda t: terms.render(t, terms.default_context(k))
     )
@@ -201,6 +201,8 @@ def _check_usage(args: argparse.Namespace) -> None:
         raise ValueError("--cap-override must be non-negative")
     if args.command == "list" and min(args.n, args.k) < 0:
         raise ValueError("--n and --k must be non-negative")
+    if args.command == "list" and args.closed and args.k:
+        raise ValueError(f"--closed lists k = 0, not --k {args.k}")
     if args.command == "count" and args.labeled:
         if args.family not in _CLASS_FAMILIES:
             raise ValueError(f"--labeled counts class families only, not {args.family}")

@@ -14,6 +14,7 @@ known ground truth.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import factorial
 
 from . import enumeration, exchange, maps, series, terms
@@ -85,6 +86,10 @@ NORMAL_CLASS_GROUPS_UP_TO_SIZE_3: tuple[tuple[str, ...], ...] = (
 NORMAL_TERMS_UP_TO_SIZE_3: tuple[str, ...] = tuple(
     text for group in NORMAL_CLASS_GROUPS_UP_TO_SIZE_3 for text in group
 )
+EMBEDDED_TOP = 3  # the largest size of an embedded term
+
+# (n, k) -> the class groups of one family's cell, as exchange.dedup_ledger builds them
+Ledger = dict[tuple[int, int], list[list[Term]]]
 
 # Closed-term size m corresponds to maps with m - 1 edges for the quotient
 # and planar families, and to trivalent maps with 3(m - 1) edges.
@@ -165,12 +170,11 @@ def _prefix(got, want, first_n: int = 1) -> tuple[str, str | None]:
     )
 
 
-def _reference_terms_problem(top: int) -> str | None:
+def _reference_terms_problem(embedded: list[list[Term]], top: int) -> str | None:
     # the first way parsing, printing, classification or the enumeration of
     # sizes 1..top disagrees with the embedded list, if any
     parsed: dict[int, set[Term]] = {1: set(), 2: set(), 3: set()}
-    for text in NORMAL_TERMS_UP_TO_SIZE_3:
-        t = terms.parse(text)
+    for text, t in zip(NORMAL_TERMS_UP_TO_SIZE_3, chain.from_iterable(embedded)):
         if not terms.check_linear(t, 0):
             return f"{text!r} is not closed linear"
         cls = terms.classify(t)
@@ -188,38 +192,32 @@ def _reference_terms_problem(top: int) -> str | None:
     return None
 
 
-def _grouping_problem() -> str | None:
+def _grouping_problem(embedded: list[list[Term]], ledger: Ledger) -> str | None:
     # the first way the embedded grouping and deduplication disagree, if any
-    want_groups = {
-        frozenset(terms.parse(text) for text in group)
-        for group in NORMAL_CLASS_GROUPS_UP_TO_SIZE_3
-    }
-    got_groups = set()
-    for n in (1, 2, 3):
-        for group in exchange.class_groups(Family.NORMAL, n, 0):
-            got_groups.add(frozenset(group))
+    want_groups = {frozenset(group) for group in embedded}
+    got_groups = {frozenset(group) for n in (1, 2, 3) for group in ledger[(n, 0)]}
     if got_groups != want_groups:
         return "class partition differs from the embedded grouping"
-    for group in NORMAL_CLASS_GROUPS_UP_TO_SIZE_3:
-        members = [terms.parse(text) for text in group]
+    for members in embedded:
         rep = members[0]
+        form = exchange.canonicalize(rep)
         for t in members:
             if not exchange.is_isomorphic(t, rep):
                 return f"{terms.render(t)} not isomorphic to its representative"
             for swapped in exchange.local_exchanges(t):
-                if exchange.canonicalize(swapped) != exchange.canonicalize(rep):
+                if exchange.canonicalize(swapped) != form:
                     return f"an exchange of {terms.render(t)} left its class"
     return None
 
 
-def _class_construction_problem(top: int) -> str | None:
+def _class_construction_problem(top: int, ledgers: dict[Family, Ledger]) -> str | None:
     """The first cell where class construction and deduplication disagree, if any.
 
     In every cell of sizes 1..top of both class families, the class grammar
     must build each representative once, and build exactly the leaders of
-    the groups that class_groups finds by deduplication whose free
-    variables first occur in order; k! times as many leaders must exist in
-    all, one per relabeling.
+    the groups that the family's dedup ledger finds whose free variables
+    first occur in order; k! times as many leaders must exist in all, one
+    per relabeling.
     """
     if top < 1:
         return "compared nothing"
@@ -229,7 +227,7 @@ def _class_construction_problem(top: int) -> str | None:
                 continue
             built = list(cell)
             distinct = set(built)
-            leaders = [group[0] for group in exchange.class_groups(family, n, k)]
+            leaders = [group[0] for group in ledgers[family][(n, k)]]
             free = [FVar(j) for j in range(k)]  # first occurring in the order 0..k-1
             in_order = {t for t in leaders if list(exchange.occurrences(t)) == free}
             where = f"{family.value} (n={n}, k={k})"
@@ -293,18 +291,23 @@ def run_crosscheck(
     """
     enum_n = min(max_n, enum_cap)
     maps_n = min(max_n, maps_cap)
-    top = min(enum_n, 3)
+    top = min(enum_n, EMBEDDED_TOP)
     linear, normal = references.linear_closed, references.normal_closed
     planar, quotient = references.planar_normal_closed, references.quotient_closed
     longest = max(map(len, (linear, normal, planar, quotient)))
     trunc = max(SERIES_TRUNC, max_n, longest)
+    # the embedded terms, parsed once, and one dedup ledger per class family
+    # over the sizes the embedded grouping covers, which include 1..top
+    embedded = [[terms.parse(text) for text in group]
+                for group in NORMAL_CLASS_GROUPS_UP_TO_SIZE_3]
+    ledgers = {f: exchange.dedup_ledger(f, EMBEDDED_TOP) for f in enumeration.CLASS_FAMILIES}
     rows = [
         ("terms:embedded-list", "parser/classifier vs enumeration", f"sizes 1..{top}",
-         _reference_terms_problem(top)),
+         _reference_terms_problem(embedded, top)),
         ("classes:embedded-grouping", "canonicalize vs embedded classes", "sizes 1..3",
-         _grouping_problem()),
+         _grouping_problem(embedded, ledgers[Family.NORMAL])),
         ("classes:construction-vs-dedup", "class grammar vs canonical dedup",
-         f"sizes 1..{top}", _class_construction_problem(top)),
+         f"sizes 1..{top}", _class_construction_problem(top, ledgers)),
     ]
 
     # one solve per equation system: L alone, and each mutual pair once

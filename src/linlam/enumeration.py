@@ -36,18 +36,30 @@ Sub-results are shared within a census.  The terms a rule generates for a
 strictly smaller size and a context are built once, kept as a tuple, and
 reused by every application that needs them, as are each context's cut
 table and each atom's variable node; the cell being generated, and the
-abstraction bodies under it, stay generators.  Each call of enum_family,
-enum_cells (which count_family uses) or class_cells has its own census and
-drops it on return, but the censuses of one crosscheck share their cut
-tables and variables (_sharing); no term is mutated, so sharing is safe.
+abstraction bodies under it, stay lazy iterators.  Each call of
+enum_family, enum_cells, class_cells, count_family or count_class_cells
+has its own census and drops it on return, but the censuses of one
+crosscheck share their cut tables and variables (_sharing); no term is
+mutated, so sharing is safe.
+
+A rule returns its terms as a chain of itertools pipelines over the
+census's term constructors, written once for two censuses.  The node
+census, which the listings use, builds Var, FVar, App and Lam nodes.  The
+counting census, which count_family and count_class_cells use, builds each
+term as a plain tuple: a leaf is its atom int, an application the
+(function, argument) pair that itertools.product yields, and an
+abstraction the 1-tuple that zip yields.  Counting then runs at C speed
+and constructs no node, yet still generates every term one by one; no
+count is taken from the size of a sub-result.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from contextlib import contextmanager
-from functools import cache
-from itertools import chain, product, starmap
-from typing import Callable, Iterator
+from functools import cache, partial
+from itertools import chain, count, product, starmap
+from typing import Callable, Iterable, Iterator
 
 from .names import CLASS_FAMILIES, Family
 from .terms import App, FVar, Lam, Term, Var
@@ -108,25 +120,38 @@ def _sharing() -> Iterator[None]:
 
 
 class _Census:
-    """A grammar rule, a join rule, and the sub-results built so far.
+    """A grammar rule, a join rule, the term constructors, and the sub-results built so far.
 
     A sub-result is the tuple of terms one rule generates for a size and a
     context; it is built the first time it is asked for and then reused, as
     are each context's cut table and atom's variable (shared in _sharing).
-    Each public call makes its own census and drops it on return.
+    Each public call makes its own census and drops it on return.  This
+    census builds term nodes: each variable once, an App per application
+    and a Lam per abstraction.
     """
 
     def __init__(self, rule: Rule, join: Join) -> None:
         self.rule = rule
         self.join = join
-        self.memo: dict[tuple[Rule, int, Context], tuple[Term, ...]] = {}
+        self.memo: dict[tuple[Rule, int, Context], tuple] = {}
         self.split, self.leaf = _shared[-1] if _shared else (cache(_cuts), cache(_variable))
 
-    def cell(self, n: int, k: int) -> Iterator[Term]:
-        # free position j is the atom -1 - j
-        return self.rule(self, n, self.join((), tuple(range(-1, -1 - k, -1))))
+    # the term constructors: a leaf from its atom, every application of the
+    # functions to the arguments, and an abstraction over every body
+    def var(self, a: Atom) -> Var | FVar:
+        return self.leaf(a)
 
-    def shared(self, rule: Rule, n: int, ctx: Context) -> tuple[Term, ...]:
+    @staticmethod
+    def apps(funs: tuple, args: tuple) -> Iterator[App]:
+        return starmap(App, product(funs, args))
+
+    lams = partial(map, Lam)
+
+    def cell(self, n: int, k: int) -> Iterator:
+        # free position j is the atom -1 - j
+        return iter(self.rule(self, n, self.join((), tuple(range(-1, -1 - k, -1)))))
+
+    def shared(self, rule: Rule, n: int, ctx: Context) -> tuple:
         key = (rule, n, ctx)
         terms = self.memo.get(key)
         if terms is None:
@@ -140,61 +165,80 @@ class _Census:
         return self.join(shifted, tuple(range(r - 1, -1, -1)))
 
 
-Rule = Callable[[_Census, int, Context], Iterator[Term]]
+class _Counting(_Census):
+    """The same census building each term as a plain tuple, for counting.
 
+    A leaf is its atom, an application the (function, argument) pair that
+    product yields and an abstraction the 1-tuple that zip yields, so the
+    rules run at C speed and construct no node.  product and zip may reuse
+    a tuple nobody else holds, so a cell's terms are counted, never kept.
+    """
+
+    @staticmethod
+    def var(a: Atom) -> Atom:
+        return a
+
+    apps = product
+    lams = zip
+
+
+Rule = Callable[[_Census, int, Context], Iterable]
+
+# Each rule returns its terms as one chain of the census's constructors.
 # The two sides of an application are strictly smaller terms, so they come
-# from the census's shared sub-results.  An abstraction's body, and the
-# neutral body of a normal term, are as large as the term itself and are
-# streamed, so a cell is never held in memory.
+# from the census's shared sub-results, asked for only when the chain
+# reaches their cut.  An abstraction's body, and the neutral body of a
+# normal term, are as large as the term itself and are streamed, so a cell
+# is never held in memory.
 
 
-def _linear(c: _Census, n: int, ctx: Context) -> Iterator[Term]:
+def _linear(c: _Census, n: int, ctx: Context) -> Iterable:
     atoms = sum(map(len, ctx))
     if n < 1 or atoms > n:
-        return
+        return ()
     if n == 1 and atoms == 1:
-        yield c.leaf(ctx[0][0])
+        return (c.var(ctx[0][0]),)
     cuts = c.split(ctx)
-    for n_fun in range(1, n):
-        n_arg = n - n_fun
-        # each side has at least as many leaves as atoms
-        for fun_ctx, arg_ctx in chain.from_iterable(cuts[max(0, atoms - n_arg):n_fun + 1]):
-            funs = c.shared(_linear, n_fun, fun_ctx)
-            yield from starmap(App, product(funs, c.shared(_linear, n_arg, arg_ctx)))
-    for body in _linear(c, n, c.bind(ctx, 1)):
-        yield Lam(body)
+    # each side has at least as many leaves as atoms
+    apps = (
+        c.apps(c.shared(_linear, n_fun, fun), c.shared(_linear, n - n_fun, arg))
+        for n_fun in range(1, n)
+        for fun, arg in chain.from_iterable(cuts[max(0, atoms - n + n_fun):n_fun + 1])
+    )
+    return chain(chain.from_iterable(apps), c.lams(_linear(c, n, c.bind(ctx, 1))))
 
 
-def _neutral(c: _Census, n: int, ctx: Context) -> Iterator[Term]:
+def _neutral(c: _Census, n: int, ctx: Context) -> Iterable:
     # size n means n + 1 variable occurrences
     atoms = sum(map(len, ctx))
     if n < 0 or not atoms or atoms > n + 1:
-        return
-    if n == 0 and atoms == 1:
-        yield c.leaf(ctx[0][0])
+        return ()
+    if n == 0:
+        return (c.var(ctx[0][0]),)
     cuts = c.split(ctx)
-    for n_fun in range(n):
-        n_arg = n - n_fun
-        # the neutral function takes its head and at most n_fun + 1 atoms,
-        # the normal argument at most n_arg
-        for fun_ctx, arg_ctx in chain.from_iterable(cuts[max(1, atoms - n_arg):n_fun + 2]):
-            funs = c.shared(_neutral, n_fun, fun_ctx)
-            yield from starmap(App, product(funs, c.shared(_normal, n_arg, arg_ctx)))
+    # the neutral function takes its head and at most n_fun + 1 atoms, the
+    # normal argument at most n - n_fun
+    apps = (
+        c.apps(c.shared(_neutral, n_fun, fun), c.shared(_normal, n - n_fun, arg))
+        for n_fun in range(n)
+        for fun, arg in chain.from_iterable(cuts[max(1, atoms - n + n_fun):n_fun + 2])
+    )
+    return chain.from_iterable(apps)
 
 
-def _normal(c: _Census, n: int, ctx: Context) -> Iterator[Term]:
-    # a maximal run of r binders over a neutral body one size smaller
+def _normal(c: _Census, n: int, ctx: Context) -> Iterable:
+    # a maximal run of r binders over a neutral body one size smaller; a
+    # body without binders needs a free head
     atoms = sum(map(len, ctx))
     if n < 1 or atoms > n:
-        return
-    if atoms:
-        # a neutral body needs a free head
-        yield from _neutral(c, n - 1, ctx)
+        return ()
+    runs = [_neutral(c, n - 1, ctx)] if atoms else []
     for r in range(1, n - atoms + 1):
-        for body in _neutral(c, n - 1, c.bind(ctx, r)):
-            for _ in range(r):
-                body = Lam(body)
-            yield body
+        bodies = _neutral(c, n - 1, c.bind(ctx, r))
+        for _ in range(r):
+            bodies = c.lams(bodies)
+        runs.append(bodies)
+    return chain.from_iterable(runs)
 
 
 _GRAMMARS: dict[Family, tuple[Rule, Join]] = {
@@ -204,6 +248,16 @@ _GRAMMARS: dict[Family, tuple[Rule, Join]] = {
     Family.PLANAR_NEUTRAL: (_neutral, _one_group),
     Family.PLANAR_NORMAL: (_normal, _one_group),
 }
+
+
+def _class_grammar(family: Family) -> tuple[Rule, Join]:
+    if family not in CLASS_FAMILIES:
+        raise ValueError("class censuses cover the neutral and normal families")
+    return _GRAMMARS[family][0], _new_group
+
+
+def _cells(census: _Census, max_n: int) -> Iterator[tuple[int, int, Iterator]]:
+    return ((n, k, census.cell(n, k)) for n in range(max_n + 1) for k in range(n + 2))
 
 
 def enum_family(family: Family, n: int, k: int) -> Iterator[Term]:
@@ -224,10 +278,7 @@ def enum_cells(family: Family, max_n: int) -> Iterator[tuple[int, int, Iterator[
     Each cell's terms are those of enum_family(family, n, k), in the same
     order, but every cell of one call draws on the same shared sub-results.
     """
-    census = _Census(*_GRAMMARS[family])
-    for n in range(max_n + 1):
-        for k in range(n + 2):
-            yield n, k, census.cell(n, k)
+    return _cells(_Census(*_GRAMMARS[family]), max_n)
 
 
 def class_cells(family: Family, max_n: int) -> Iterator[tuple[int, int, Iterator[Term]]]:
@@ -240,12 +291,7 @@ def class_cells(family: Family, max_n: int) -> Iterator[tuple[int, int, Iterator
     is canonicalized.  Cells stream, and every cell of one call draws on
     the same shared sub-results.
     """
-    if family not in CLASS_FAMILIES:
-        raise ValueError("class censuses cover the neutral and normal families")
-    census = _Census(_GRAMMARS[family][0], _new_group)
-    return (
-        (n, k, census.cell(n, k)) for n in range(max_n + 1) for k in range(n + 2)
-    )
+    return _cells(_Census(*_class_grammar(family)), max_n)
 
 
 # ---------------------------------------------------------------------------
@@ -304,18 +350,37 @@ class CountTable:
         return json.dumps(data, indent=2) + "\n"
 
 
+def _count_cells(census: _Counting, max_n: int, provenance: str) -> CountTable:
+    table = CountTable(max_n=max_n, provenance=provenance)
+    for n, k, cell in _cells(census, max_n):
+        # one tick per term, at C speed, keeping none of them
+        ticks = count()
+        deque(zip(cell, ticks), maxlen=0)
+        if c := next(ticks):
+            table.entries[(n, k)] = c
+    return table
+
+
 def count_family(family: Family, max_n: int) -> CountTable:
     """Count family members for all n <= max_n and k <= n + 1 by streaming.
 
-    Every cell is generated and its terms counted one by one; a cell is
-    streamed, never held in memory.  The cells of one call share the
-    smaller sub-results they are built from, and drop them on return.  No
-    count is derived from sub-result sizes or from the series, so this is a
-    genuinely independent producer against the series solutions.
+    The counting census runs the grammar of enum_cells but builds each term
+    as a plain tuple, not a node, and every cell is generated and its terms
+    counted one by one; a cell is streamed, never held in memory.  The cells
+    of one call share the smaller sub-results they are built from, and drop
+    them on return.  No count is derived from sub-result sizes or from the
+    series, so this is a genuinely independent producer against the series
+    solutions.
     """
-    table = CountTable(max_n=max_n, provenance=f"enum:{family.value}")
-    for n, k, cell in enum_cells(family, max_n):
-        c = sum(1 for _ in cell)
-        if c:
-            table.entries[(n, k)] = c
-    return table
+    return _count_cells(_Counting(*_GRAMMARS[family]), max_n, f"enum:{family.value}")
+
+
+def count_class_cells(family: Family, max_n: int) -> CountTable:
+    """Count what class_cells yields, cell by cell, building no node.
+
+    The counting census runs the class grammar as count_family runs the
+    family grammar: the table holds one count per exchange class with
+    unlabeled free variables.
+    """
+    return _count_cells(_Counting(*_class_grammar(family)), max_n,
+                        f"classes:{family.value}:unlabeled")

@@ -11,15 +11,17 @@ Relabeling the k free variables acts freely on the classes of a cell and
 never moves a binder, so each relabeling orbit (an unlabeled class) holds
 k! classes and exactly one canonical form whose free variables first occur
 in the order 0..k-1.  The class grammar in linlam.enumeration builds those
-forms directly (class_cells), and classes are counted from them alone.
-Listing the members of each class still deduplicates a cell's terms by
-canonical form (class_groups), and the crosscheck compares the two.
+forms directly (class_cells), and classes are counted from them alone, by
+the counting census, which builds no term node.  Listing the members of
+each class still deduplicates terms by canonical form: class_groups for one
+cell, and dedup_ledger for every cell of a family from one census, which
+the crosscheck compares with the class grammar.
 """
 
 from __future__ import annotations
 
 from math import factorial
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import enumeration
 from .enumeration import CLASS_FAMILIES, CountTable, Family, enum_family
@@ -56,43 +58,49 @@ def occurrences(t: Term, depth: int = 0) -> Iterator[Var | FVar]:
 
     Each is seen from depth binders above t: Var(b) is the binder b levels
     up from there, and a free variable is its FVar."""
-    if isinstance(t, Var):
-        if t.index >= depth:
+    stack = [(t, depth)]  # the subterms still to visit, the next one last
+    while stack:
+        t, depth = stack.pop()
+        if isinstance(t, App):
+            stack += ((t.arg, depth), (t.fun, depth))
+        elif isinstance(t, Lam):
+            stack.append((t.body, depth + 1))
+        elif isinstance(t, FVar):
+            yield t
+        elif t.index >= depth:
             yield Var(t.index - depth)
-    elif isinstance(t, FVar):
-        yield t
-    elif isinstance(t, App):
-        yield from occurrences(t.fun, depth)
-        yield from occurrences(t.arg, depth)
-    else:
-        yield from occurrences(t.body, depth + 1)
 
 
 def canonicalize(t: Term) -> Term:
     """The designated representative of a linear term's exchange class.
 
     Works bottom-up; in each maximal binder run the binder occurring first
-    in the body's depth-first order becomes the outermost lambda.
+    in the body's depth-first order becomes the outermost lambda.  A subterm
+    already in that form is returned as it is, not rebuilt.
     """
-    if isinstance(t, (Var, FVar)):
-        return t
     if isinstance(t, App):
-        return App(canonicalize(t.fun), canonicalize(t.arg))
+        fun, arg = canonicalize(t.fun), canonicalize(t.arg)
+        return t if fun is t.fun and arg is t.arg else App(fun, arg)
+    if not isinstance(t, Lam):
+        return t
     block = 0
     body: Term = t
     while isinstance(body, Lam):
         block += 1
         body = body.body
-    body = canonicalize(body)
-    order = [v.index for v in occurrences(body) if isinstance(v, Var) and v.index < block]
-    perm = {b: block - 1 - rank for rank, b in enumerate(order)}
+    form = canonicalize(body)
+    order = [v.index for v in occurrences(form) if isinstance(v, Var) and v.index < block]
     # order's entries lie in range(block): a permutation of it iff block of them, all distinct
-    if len(order) != block or len(perm) != block:
+    if len(order) != block or len(set(order)) != block:
         raise ValueError("canonicalize requires a linear term")
-    body = _rebind(body, perm)
+    moved = {b: block - 1 - rank for rank, b in enumerate(order) if b != block - 1 - rank}
+    if moved:
+        form = _rebind(form, moved)
+    elif form is body:
+        return t
     for _ in range(block):
-        body = Lam(body)
-    return body
+        form = Lam(form)
+    return form
 
 
 def is_isomorphic(t1: Term, t2: Term) -> bool:
@@ -125,17 +133,28 @@ def count_classes(family: Family, max_n: int) -> ClassCounts:
     """Count the exchange classes of the neutral or normal family, n <= max_n.
 
     Each unlabeled class is counted once, by streaming the representatives
-    that enumeration.class_cells constructs; no other term is generated and
+    that enumeration.class_cells would construct through the counting
+    census (enumeration.count_class_cells); no term node is built and
     nothing is canonicalized.
     """
-    labeled = CountTable(max_n=max_n, provenance=f"classes:{family.value}")
-    unlabeled = CountTable(max_n=max_n, provenance=f"classes:{family.value}:unlabeled")
-    for n, k, cell in enumeration.class_cells(family, max_n):
-        count = sum(1 for _ in cell)
-        if count:
-            unlabeled.entries[(n, k)] = count
-            labeled.entries[(n, k)] = factorial(k) * count
+    unlabeled = enumeration.count_class_cells(family, max_n)
+    labeled = CountTable(
+        max_n=max_n,
+        entries={(n, k): factorial(k) * c for (n, k), c in unlabeled.entries.items()},
+        provenance=f"classes:{family.value}",
+    )
     return ClassCounts(family, labeled, unlabeled)
+
+
+def _groups(terms: Iterable[Term]) -> list[list[Term]]:
+    # canonicalize each term once; a group's representative leads, and the
+    # other members keep their order
+    groups: dict[Term, list[Term]] = {}
+    for t in terms:
+        groups.setdefault(canonicalize(t), []).append(t)
+    return [
+        [rep] + [t for t in members if t != rep] for rep, members in groups.items()
+    ]
 
 
 def class_groups(family: Family, n: int, k: int = 0) -> list[list[Term]]:
@@ -147,12 +166,19 @@ def class_groups(family: Family, n: int, k: int = 0) -> list[list[Term]]:
     """
     if family not in CLASS_FAMILIES:
         raise ValueError("class listings cover the neutral and normal families")
-    groups: dict[Term, list[Term]] = {}
-    for t in enum_family(family, n, k):
-        groups.setdefault(canonicalize(t), []).append(t)
-    return [
-        [rep] + [t for t in members if t != rep] for rep, members in groups.items()
-    ]
+    return _groups(enum_family(family, n, k))
+
+
+def dedup_ledger(family: Family, max_n: int) -> dict[tuple[int, int], list[list[Term]]]:
+    """The class_groups of every cell n <= max_n, k <= n + 1, from one census.
+
+    The cells come from one enumeration.enum_cells call, so every cell
+    draws on the same shared sub-results, and each term is canonicalized
+    once.
+    """
+    if family not in CLASS_FAMILIES:
+        raise ValueError("class listings cover the neutral and normal families")
+    return {(n, k): _groups(cell) for n, k, cell in enumeration.enum_cells(family, max_n)}
 
 
 def groups_to_text(groups: list[list[Term]], renderer) -> str:

@@ -17,7 +17,8 @@ independent isomorphism test.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from itertools import count
+from typing import Callable, Sequence
 
 from .enumeration import CountTable
 from .names import Variant
@@ -75,15 +76,17 @@ class RootedMap:
     """A vertex rotation sigma and an edge involution alpha on the same darts, and a root dart.
 
     Maps are never mutated after construction; two maps are equal when all
-    three fields are, and hash as the tuple of the three.
+    three fields are, and hash as the tuple of the three.  The vertex count
+    is counted on first use and kept, so a census tally and genus share it.
     """
 
-    __slots__ = ("sigma", "alpha", "root")
+    __slots__ = ("sigma", "alpha", "root", "_vertices")
 
     def __init__(self, sigma: Perm, alpha: Perm, root: int = 0) -> None:
         self.sigma = sigma
         self.alpha = alpha
         self.root = root
+        self._vertices: int | None = None
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is RootedMap:
@@ -106,7 +109,9 @@ class RootedMap:
 
     @property
     def n_vertices(self) -> int:
-        return cycle_count(self.sigma)
+        if self._vertices is None:
+            self._vertices = cycle_count(self.sigma)
+        return self._vertices
 
     def validate(self) -> None:
         n = len(self.sigma)
@@ -153,7 +158,7 @@ def faces(m: RootedMap) -> Perm:
 
 def genus(m: RootedMap) -> int:
     """Genus from Euler's formula c(sigma) - c(alpha) + c(faces) = 2 - 2g."""
-    chi = cycle_count(m.sigma) - cycle_count(m.alpha) + cycle_count(faces(m))
+    chi = m.n_vertices - cycle_count(m.alpha) + cycle_count(faces(m))
     defect = 2 - chi
     if defect % 2:
         raise ArithmeticError("odd Euler defect: invalid map")
@@ -171,90 +176,96 @@ def canonical_code(m: RootedMap) -> tuple[int, ...]:
     equal codes exactly when a root-preserving conjugation links them.
     """
     sigma, alpha, root = m.sigma, m.alpha, m.root
-    n = len(sigma)
-    num = [-1] * n
-    order = [root]
+    num = [-1] * len(sigma)  # each dart's position in the order of first visit
     num[root] = 0
-    i = 0
-    while i < len(order):
-        d = order[i]
-        i += 1
-        for e in (sigma[d], alpha[d]):
-            if num[e] < 0:
-                num[e] = len(order)
-                order.append(e)
-    if len(order) != n:
+    order = [root]
+    for d in order:  # the loop reaches the darts appended as it goes
+        e = sigma[d]
+        if num[e] < 0:
+            num[e] = len(order)
+            order.append(e)
+        e = alpha[d]
+        if num[e] < 0:
+            num[e] = len(order)
+            order.append(e)
+    if len(order) != len(sigma):
         raise ValueError("sigma and alpha must act transitively on the darts")
-    sigma_rel = [0] * n
-    alpha_rel = [0] * n
-    for d in range(n):
-        sigma_rel[num[d]] = num[sigma[d]]
-        alpha_rel[num[d]] = num[alpha[d]]
-    return tuple(sigma_rel + alpha_rel)
+    # the dart numbered i is order[i]
+    return tuple([num[sigma[d]] for d in order] + [num[alpha[d]] for d in order])
 
 
 # ---------------------------------------------------------------------------
 # Exhaustive censuses
 
 
-def _sigmas(dart_count: int) -> Iterator[Perm]:
+def _sigmas(dart_count: int) -> list[Perm]:
     """Vertex rotations of every rooted map on dart_count darts, in lex order.
 
     Dart d takes as sigma(d) a labelled dart not yet in sigma's image, or
     the first dart of the next fresh edge.  Reaching a dart that is still
     unlabelled means the labelled darts are closed under sigma and alpha,
-    so the map would be disconnected and the branch dies.
+    so the map would be disconnected and the branch dies.  The last dart,
+    once reached, is labelled and takes the one dart left.
     """
     sigma = [0] * dart_count
     hit = [False] * dart_count
+    found: list[Perm] = []
+    last = dart_count - 1
 
-    def rec(d: int, fresh: int) -> Iterator[Perm]:
-        if d == dart_count:
-            yield tuple(sigma)
-            return
+    def rec(d: int, fresh: int) -> None:
         if d == fresh:
+            return
+        if d == last:
+            sigma[d] = hit.index(False)
+            found.append(tuple(sigma))
             return
         for e in range(min(fresh + 1, dart_count)):
             if not hit[e]:
                 hit[e] = True
                 sigma[d] = e
-                yield from rec(d + 1, fresh + 2 if e == fresh else fresh)
+                rec(d + 1, fresh + 2 if e == fresh else fresh)
                 hit[e] = False
 
-    yield from rec(0, 2)
+    rec(0, 2)
+    return found
 
 
-def _trivalent_sigmas(dart_count: int) -> Iterator[Perm]:
-    """Vertex rotations of every rooted trivalent map, one vertex at a time.
+def _trivalent_search(sigma: list[int], emit: Callable[[], object]) -> None:
+    """Call emit once per vertex rotation of a rooted trivalent map, in order.
 
-    The least labelled dart a not yet on a vertex opens the vertex (a b c);
-    b and then c are each a labelled dart not yet on a vertex or the first
-    dart of the next fresh edge.  Maps come out ordered by the vertex
-    sequence (b c) of each vertex taken by its least dart.
+    sigma holds the rotation being built, -1 on darts not yet on a vertex,
+    and emit reads it at each complete rotation.  The least labelled dart a
+    not yet on a vertex opens the vertex (a b c); b and then c are each a
+    labelled dart not yet on a vertex or the first dart of the next fresh
+    edge.  Rotations come in the order of the vertex sequence (b c) of each
+    vertex taken by its least dart.
     """
-    sigma = [-1] * dart_count
+    dart_count = len(sigma)
 
-    def open_darts(a: int, fresh: int) -> list[int]:
-        return [e for e in range(a + 1, min(fresh + 1, dart_count)) if sigma[e] < 0]
-
-    def rec(a: int, fresh: int) -> Iterator[Perm]:
+    def rec(a: int, fresh: int) -> None:
         while a < fresh and sigma[a] >= 0:
             a += 1
         if a == fresh:
             if fresh == dart_count:
-                yield tuple(sigma)
+                emit()
             return
-        for b in open_darts(a, fresh):
-            fresh_b = fresh + 2 if b == fresh else fresh
-            for c in open_darts(a, fresh_b):
+        # the darts after a not yet on a vertex, up to the next fresh one
+        darts = [e for e in range(a + 1, min(fresh + 1, dart_count)) if sigma[e] < 0]
+        for b in darts:
+            fresh_b, choices = fresh, darts
+            if b == fresh:
+                # b opens an edge, so c may also be its partner or the next fresh dart
+                fresh_b = fresh + 2
+                choices = darts + list(range(fresh + 1, min(fresh + 3, dart_count)))
+            for c in choices:
                 if c == b:
                     continue
                 sigma[a], sigma[b], sigma[c] = b, c, a
-                yield from rec(a + 1, fresh_b + 2 if c == fresh_b else fresh_b)
+                rec(a + 1, fresh_b + 2 if c == fresh_b else fresh_b)
                 sigma[a] = sigma[b] = sigma[c] = -1
 
     if dart_count % 3 == 0:
-        yield from rec(0, 2)
+        rec(0, 2)
 
 
 def check_edge_count(n_edges: int, variant: Variant, cap_override: int | None) -> None:
@@ -284,11 +295,14 @@ def census_maps(
     check_edge_count(n_edges, variant, cap_override)
     alpha = standard_alpha(n_edges)
     if variant is Variant.TRIVALENT:
-        return [RootedMap(s, alpha) for s in _trivalent_sigmas(2 * n_edges)]
-    reps = (RootedMap(s, alpha) for s in _sigmas(2 * n_edges))
+        sigma = [-1] * (2 * n_edges)
+        reps: list[RootedMap] = []
+        _trivalent_search(sigma, lambda: reps.append(RootedMap(tuple(sigma), alpha)))
+        return reps
+    every = (RootedMap(s, alpha) for s in _sigmas(2 * n_edges))
     if variant is Variant.PLANAR_ONLY:
-        return [m for m in reps if genus(m) == 0]
-    return list(reps)
+        return [m for m in every if genus(m) == 0]
+    return list(every)
 
 
 def census(
@@ -299,8 +313,10 @@ def census(
     table = CountTable(max_n=n_edges, provenance=f"maps:{variant.value}")
     if variant is Variant.TRIVALENT:
         check_edge_count(n_edges, variant, cap_override)
-        count = sum(1 for _ in _trivalent_sigmas(2 * n_edges))
-        table.entries = {(n_edges, 2 * n_edges // 3): count} if count else {}
+        ticks = count()
+        _trivalent_search([-1] * (2 * n_edges), ticks.__next__)
+        total = next(ticks)
+        table.entries = {(n_edges, 2 * n_edges // 3): total} if total else {}
     else:
         for m in census_maps(n_edges, variant, cap_override):
             key = (n_edges, m.n_vertices)

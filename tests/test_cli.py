@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import shlex
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -347,6 +348,13 @@ class TestUsageErrors:
         assert code == 2
         assert "must be non-negative" in err
 
+    def test_closed_list_with_another_context(self, capsys):
+        code, err = usage_error(
+            capsys, "list", "--family", "normal", "--n", "2", "--k", "1", "--closed"
+        )
+        assert code == 2
+        assert "--closed lists k = 0, not --k 1" in err
+
     def test_negative_series_table(self, capsys):
         code, err = usage_error(capsys, "series-table", "--family", "L", "--max-n", "-3")
         assert code == 2
@@ -537,23 +545,62 @@ class TestCrosscheck:
     def test_class_construction_row_counts_every_relabeling(self, monkeypatch):
         # dedup losing a class that no constructed form stands for: only
         # the k! count can see it
-        original = exchange.class_groups
+        original = exchange.dedup_ledger
 
-        def tampered(family, n, k=0):
-            groups = original(family, n, k)
-            if (family, n, k) == (enumeration.Family.NEUTRAL, 2, 2):
+        def tampered(family, max_n):
+            ledger = original(family, max_n)
+            if family is enumeration.Family.NEUTRAL:
+                groups = ledger[(2, 2)]
                 swapped = [terms.FVar(1), terms.FVar(0)]
                 groups.remove(
                     next(g for g in groups if list(exchange.occurrences(g[0])) == swapped)
                 )
-            return groups
+            return ledger
 
-        monkeypatch.setattr(exchange, "class_groups", tampered)
+        monkeypatch.setattr(exchange, "dedup_ledger", tampered)
         bad = next(
             c for c in run_crosscheck(3).checks if c.name == "classes:construction-vs-dedup"
         )
         assert not bad.ok
         assert bad.divergence == "neutral (n=2, k=2): 2! x 5 constructed != 9 by dedup"
+
+    def test_dedup_is_one_census_per_class_family(self, monkeypatch):
+        # every dedup cell of a class family comes from one enum_cells call,
+        # and each of its terms is canonicalized exactly once
+        calls, cells, enumerated, canonicalized = [], [], [], []
+        enum_cells, canonicalize = enumeration.enum_cells, exchange.canonicalize
+
+        def cells_spy(family, max_n):
+            calls.append(family)
+            for n, k, cell in enum_cells(family, max_n):
+                cells.append((family, n, k))
+                terms_of_cell = list(cell)
+                enumerated.extend(terms_of_cell)
+                yield n, k, iter(terms_of_cell)
+
+        depth = 0
+
+        def canonicalize_spy(t):
+            # canonicalize recurses through its module global: keep outermost calls
+            nonlocal depth
+            if not depth:
+                canonicalized.append(t)
+            depth += 1
+            try:
+                return canonicalize(t)
+            finally:
+                depth -= 1
+
+        monkeypatch.setattr(enumeration, "enum_cells", cells_spy)
+        monkeypatch.setattr(exchange, "canonicalize", canonicalize_spy)
+        assert run_crosscheck(4).ok
+        for family in enumeration.CLASS_FAMILIES:
+            assert calls.count(family) == 1
+            got = [(n, k) for f, n, k in cells if f is family]
+            assert got == [(n, k) for n in range(4) for k in range(n + 2)]
+        # the terms are kept alive in the lists, so their ids are distinct
+        ids = Counter(map(id, enumerated))
+        assert Counter(id(t) for t in canonicalized if id(t) in ids) == ids
 
     def test_each_map_census_generated_once(self, monkeypatch):
         calls = []

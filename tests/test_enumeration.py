@@ -16,6 +16,7 @@ from linlam.enumeration import (
     enum_cells,
     enum_family,
 )
+from linlam.exchange import count_classes
 from linlam.series import FamilyName, solve
 from linlam.terms import Kind, check_linear, classify, parse, render, to_ascii
 
@@ -249,6 +250,39 @@ def test_census_hashes_no_term_node(monkeypatch):
     assert _drain(class_cells(Family.NORMAL, 4)) > 0
     assert sum(1 for _ in enum_family(Family.PLANAR_NORMAL, 4, 1)) > 0
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "name, count, cells",
+    [(f.value, partial(count_family, f), partial(enum_cells, f)) for f in Family] + [
+        (f"classes-{f.value}", lambda max_n, f=f: count_classes(f, max_n).unlabeled,
+         partial(class_cells, f))
+        for f in enumeration.CLASS_FAMILIES
+    ],
+)
+def test_counting_census_counts_what_the_node_census_lists(name, count, cells):
+    table = count(5)
+    listed = {(n, k): len(list(cell)) for n, k, cell in cells(5)}
+    assert sum(listed.values()) > 0
+    assert {cell: table.count(*cell) for cell in listed} == listed, name
+
+
+def test_counting_builds_no_term_node(monkeypatch):
+    from linlam.terms import App, Lam, _Atom
+
+    built = []
+    for cls in (_Atom, App, Lam):  # Var and FVar are made by _Atom.__init__
+        def spy(self, *fields, _orig=cls.__init__):
+            built.append(type(self).__name__)
+            _orig(self, *fields)
+
+        monkeypatch.setattr(cls, "__init__", spy)
+    assert sum(1 for _ in enum_family(Family.NEUTRAL, 2, 1)) > 0
+    assert {"App", "FVar"} <= set(built)  # the spies are live
+    built.clear()
+    assert count_family(Family.NEUTRAL, 4).total() > 0
+    assert count_classes(Family.NORMAL, 4).unlabeled.total() > 0
+    assert built == []
 
 
 # A term of size n (n leaves for the linear and normal rules, n + 1 for the

@@ -105,6 +105,15 @@ class TestCanonicalize:
         with pytest.raises(ValueError):
             is_isomorphic(twice_x, twice_y)
 
+    def test_a_canonical_term_is_returned_as_it_is(self):
+        # a canonical form comes back as the same object, and so does the
+        # canonical side of an application whose other side is not
+        swapped, ordered = parse("\\x. \\y. y(x)"), parse("\\z. \\w. z(w)")
+        form = canonicalize(App(swapped, ordered))
+        assert form == App(ordered, ordered)
+        assert form.arg is ordered
+        assert canonicalize(form) is form
+
     def test_idempotent_and_exchange_invariant_up_to_size_4(self):
         for n in range(5):
             for k in range(n + 2):
