@@ -273,7 +273,6 @@ def _walk_maps(
     return census, planar_totals, parity_problem, repeat_problem
 
 
-@enumeration._sharing()
 def run_crosscheck(
     max_n: int = 5,
     *,

@@ -38,9 +38,8 @@ reused by every application that needs them, as are each context's cut
 table and each atom's variable node; the cell being generated, and the
 abstraction bodies under it, stay lazy iterators.  Each call of
 enum_family, enum_cells, class_cells, count_family or count_class_cells
-has its own census and drops it on return, but the censuses of one
-crosscheck share their cut tables and variables (_sharing); no term is
-mutated, so sharing is safe.
+has its own census and drops it on return; no term is mutated, so sharing
+is safe.
 
 A rule returns its terms as a chain of itertools pipelines over the
 census's term constructors, written once for two censuses.  The node
@@ -51,12 +50,18 @@ term as a plain tuple: a leaf is its atom int, an application the
 abstraction the 1-tuple that zip yields.  Counting then runs at C speed
 and constructs no node, yet still generates every term one by one; no
 count is taken from the size of a sub-result.
+
+The counting census keys a sub-result by its context's group sizes.  A
+rule reads a context only through its group sizes, its cut table and the
+atoms at its leaves, and relabeling atoms is a bijection on a cell's
+terms, so contexts with equal group sizes have equally many terms.  A
+shared tuple carries the atoms of the context that first built it, which
+is harmless: counting reads no atom.  The node census keys by atoms.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from contextlib import contextmanager
 from functools import cache, partial
 from itertools import chain, count, product, starmap
 from typing import Callable, Iterable, Iterator
@@ -70,7 +75,6 @@ Group = tuple[Atom, ...]
 Context = tuple[Group, ...]
 Cut = tuple[Context, Context]
 Join = Callable[[Context, Group], Context]
-_shared: list = []  # per open _sharing block, innermost last: the caches every census takes
 
 
 def _singletons(ctx: Context, atoms: Group) -> Context:
@@ -110,31 +114,22 @@ def _variable(a: Atom) -> Var | FVar:
     return Var(a) if a >= 0 else FVar(-1 - a)
 
 
-@contextmanager
-def _sharing() -> Iterator[None]:
-    _shared.append((cache(_cuts), cache(_variable)))
-    try:
-        yield
-    finally:
-        _shared.pop()
-
-
 class _Census:
     """A grammar rule, a join rule, the term constructors, and the sub-results built so far.
 
     A sub-result is the tuple of terms one rule generates for a size and a
     context; it is built the first time it is asked for and then reused, as
-    are each context's cut table and atom's variable (shared in _sharing).
-    Each public call makes its own census and drops it on return.  This
-    census builds term nodes: each variable once, an App per application
-    and a Lam per abstraction.
+    are each context's cut table and atom's variable.  Each public call
+    makes its own census and drops it on return.  This census builds term
+    nodes: each variable once, an App per application and a Lam per
+    abstraction.
     """
 
     def __init__(self, rule: Rule, join: Join) -> None:
         self.rule = rule
         self.join = join
-        self.memo: dict[tuple[Rule, int, Context], tuple] = {}
-        self.split, self.leaf = _shared[-1] if _shared else (cache(_cuts), cache(_variable))
+        self.memo: dict[tuple[Rule, int, tuple], tuple] = {}
+        self.split, self.leaf = cache(_cuts), cache(_variable)
 
     # the term constructors: a leaf from its atom, every application of the
     # functions to the arguments, and an abstraction over every body
@@ -151,8 +146,12 @@ class _Census:
         # free position j is the atom -1 - j
         return iter(self.rule(self, n, self.join((), tuple(range(-1, -1 - k, -1)))))
 
+    @staticmethod
+    def shape(ctx: Context) -> tuple:
+        return ctx  # listings need real atoms, so the node census keys by them
+
     def shared(self, rule: Rule, n: int, ctx: Context) -> tuple:
-        key = (rule, n, ctx)
+        key = (rule, n, self.shape(ctx))
         terms = self.memo.get(key)
         if terms is None:
             terms = self.memo[key] = tuple(rule(self, n, ctx))
@@ -177,6 +176,10 @@ class _Counting(_Census):
     @staticmethod
     def var(a: Atom) -> Atom:
         return a
+
+    @staticmethod
+    def shape(ctx: Context) -> tuple:
+        return tuple(map(len, ctx))
 
     apps = product
     lams = zip
@@ -331,9 +334,6 @@ class CountTable:
             for k in range(n + 2):
                 yield n, k, self.count(n, k)
 
-    def check_triangular(self) -> bool:
-        return all(k <= n + 1 or c == 0 for (n, k), c in self.entries.items())
-
     def to_csv(self) -> str:
         lines = ["n,k,count"]
         lines += [f"{n},{k},{c}" for n, k, c in self.cells()]
@@ -367,10 +367,10 @@ def count_family(family: Family, max_n: int) -> CountTable:
     The counting census runs the grammar of enum_cells but builds each term
     as a plain tuple, not a node, and every cell is generated and its terms
     counted one by one; a cell is streamed, never held in memory.  The cells
-    of one call share the smaller sub-results they are built from, and drop
-    them on return.  No count is derived from sub-result sizes or from the
-    series, so this is a genuinely independent producer against the series
-    solutions.
+    of one call share the smaller sub-results they are built from, one per
+    rule, size and group sizes, and drop them on return.  No count is taken
+    from sub-result sizes or from the series, so this is a genuinely
+    independent producer against the series solutions.
     """
     return _count_cells(_Counting(*_GRAMMARS[family]), max_n, f"enum:{family.value}")
 

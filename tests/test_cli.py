@@ -636,33 +636,6 @@ class TestCrosscheck:
         assert dart_counts == [2, 4, 6]
         assert len(genera) == 2 + 10 + 74
 
-    def test_censuses_share_cut_tables_within_a_run(self, monkeypatch):
-        # every census of one run takes the same caches, and only that run
-        caches = []
-        init = enumeration._Census.__init__
-
-        def spy(census, rule, join):
-            init(census, rule, join)
-            caches.append((census.split, census.leaf))
-
-        monkeypatch.setattr(enumeration._Census, "__init__", spy)
-        assert run_crosscheck(3).ok
-        assert len(caches) > 1 and len(set(caches)) == 1
-        assert enumeration._shared == []
-        for family in (enumeration.Family.LINEAR, enumeration.Family.NORMAL):
-            enumeration.count_family(family, 2)
-        assert len(set(caches)) == 3
-
-    def test_shared_caches_dropped_when_a_run_raises(self, monkeypatch):
-        def broken(which, trunc=12):
-            assert enumeration._shared
-            raise RuntimeError("the solve broke")
-
-        monkeypatch.setattr(series, "solve", broken)
-        with pytest.raises(RuntimeError, match="the solve broke"):
-            run_crosscheck(3)
-        assert enumeration._shared == []
-
     def test_no_series_product_outside_solve(self, monkeypatch):
         # the equation rows report what solve checked; nothing re-derives them
         solving = []
