@@ -66,7 +66,7 @@ def _count_table(args: argparse.Namespace):
 def cmd_count(args: argparse.Namespace) -> int:
     table = _count_table(args)
     if args.closed:
-        _emit_sequence(table.closed_sequence(1, args.max_n), args.json)
+        _emit_sequence(table.closed_sequence(), args.json)
     elif args.json:
         sys.stdout.write(table.to_json())
     else:
@@ -109,7 +109,7 @@ def cmd_series_table(args: argparse.Namespace) -> int:
     from . import series
     sol = series.solve(FamilyName(args.family), args.max_n)
     if args.closed:
-        _emit_sequence(sol.series.closed_sequence(1, args.max_n), args.json)
+        _emit_sequence(sol.series.closed_sequence(), args.json)
     elif args.json:
         sys.stdout.write(series.solution_to_json(sol))
     else:

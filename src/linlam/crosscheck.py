@@ -97,15 +97,17 @@ MAP_SIZE_SHIFT = 1
 
 
 class CheckResult:
-    __slots__ = ("name", "producers", "indices", "ok", "divergence")
+    __slots__ = ("name", "producers", "indices", "divergence")
 
-    def __init__(self, name: str, producers: str, indices: str, ok: bool,
-                 divergence: str | None = None) -> None:
+    def __init__(self, name: str, producers: str, indices: str, divergence: str | None) -> None:
         self.name = name
         self.producers = producers
         self.indices = indices
-        self.ok = ok
         self.divergence = divergence
+
+    @property
+    def ok(self) -> bool:
+        return self.divergence is None
 
     def line(self) -> str:
         status = "ok  " if self.ok else "FAIL"
@@ -116,8 +118,8 @@ class CheckResult:
 class CrossCheckReport:
     __slots__ = ("checks",)
 
-    def __init__(self, checks: list[CheckResult] | None = None) -> None:
-        self.checks = [] if checks is None else checks
+    def __init__(self, checks: list[CheckResult]) -> None:
+        self.checks = checks
 
     @property
     def ok(self) -> bool:
@@ -131,8 +133,8 @@ class CrossCheckReport:
     def to_json(self) -> str:
         import json
 
-        # each check's fields, in the order of CheckResult.__slots__
-        checks = [{f: getattr(c, f) for f in CheckResult.__slots__} for c in self.checks]
+        fields = ("name", "producers", "indices", "ok", "divergence")
+        checks = [{f: getattr(c, f) for f in fields} for c in self.checks]
         data = {"pass": self.ok, "checks": checks}
         return json.dumps(data, indent=2) + "\n"
 
@@ -140,7 +142,7 @@ class CrossCheckReport:
 # Series always reach order SERIES_TRUNC, and further for a larger max_n or
 # a longer reference prefix; trivalent censuses stop at TRIVALENT_EDGE_CAP edges.
 SERIES_TRUNC = 12
-TRIVALENT_EDGE_CAP = 12
+TRIVALENT_EDGE_CAP = maps.DEFAULT_EDGE_CAPS[Variant.TRIVALENT]
 
 
 def _divergence(triples) -> str | None:
@@ -173,7 +175,7 @@ def _prefix(got, want, first_n: int = 1) -> tuple[str, str | None]:
 def _reference_terms_problem(embedded: list[list[Term]], top: int) -> str | None:
     # the first way parsing, printing, classification or the enumeration of
     # sizes 1..top disagrees with the embedded list, if any
-    parsed: dict[int, set[Term]] = {1: set(), 2: set(), 3: set()}
+    parsed: dict[int, set[Term]] = {n: set() for n in range(1, EMBEDDED_TOP + 1)}
     for text, t in zip(NORMAL_TERMS_UP_TO_SIZE_3, chain.from_iterable(embedded)):
         if not terms.check_linear(t, 0):
             return f"{text!r} is not closed linear"
@@ -195,7 +197,7 @@ def _reference_terms_problem(embedded: list[list[Term]], top: int) -> str | None
 def _grouping_problem(embedded: list[list[Term]], ledger: Ledger) -> str | None:
     # the first way the embedded grouping and deduplication disagree, if any
     want_groups = {frozenset(group) for group in embedded}
-    got_groups = {frozenset(group) for n in (1, 2, 3) for group in ledger[(n, 0)]}
+    got_groups = {frozenset(g) for n in range(1, EMBEDDED_TOP + 1) for g in ledger[(n, 0)]}
     if got_groups != want_groups:
         return "class partition differs from the embedded grouping"
     for members in embedded:
@@ -256,7 +258,7 @@ def _walk_maps(
     planar_totals = []
     parity_problem = repeat_problem = None
     for n in range(1, maps_n + 1):
-        codes: dict[bytes, maps.RootedMap] = {}
+        codes: dict[tuple[int, ...], maps.RootedMap] = {}
         planar_totals.append(0)
         for m in maps.census_maps(n, Variant.ALL_GENERA, cap_override=maps_cap):
             key = (n, m.n_vertices)
@@ -317,7 +319,7 @@ def run_crosscheck(
 
     neutral_classes = exchange.count_classes(Family.NEUTRAL, enum_n).unlabeled
     normal_classes = exchange.count_classes(Family.NORMAL, enum_n).unlabeled
-    class_closed = normal_classes.closed_sequence(1, enum_n)
+    class_closed = normal_classes.closed_sequence()
 
     # enumeration against the series coefficients, bivariately
     enum_tables: dict[Family, CountTable] = {}
@@ -335,7 +337,7 @@ def run_crosscheck(
         ("classes-vs-series:neutral", by_classes,
          *_cells(neutral_classes.count, solutions[FamilyName.QB].coeff, enum_n)),
         ("classes-vs-series:normal-closed", by_classes,
-         *_prefix(class_closed, solutions[FamilyName.QR].closed_sequence(1, enum_n))),
+         *_prefix(class_closed, solutions[FamilyName.QR].closed_sequence(enum_n))),
         ("series:quotient-route-agreement", "mutual pair vs fixpoint equation",
          f"n<={trunc}", None if checked[series.FIXPOINT] else "compared nothing"),
         ("series:closed-quotient-shift", "closed normal classes vs shifted neutral row sums",
@@ -361,17 +363,17 @@ def run_crosscheck(
     ]
 
     # trivalent maps against all closed linear terms: size m <-> 3(m-1) edges
-    sizes = [m for m in range(2, max_n + 1) if 3 * (m - 1) <= TRIVALENT_EDGE_CAP]
+    sizes = [m for m in range(2, max_n + 1) if 3 * (m - MAP_SIZE_SHIFT) <= TRIVALENT_EDGE_CAP]
     if sizes:
-        got = [maps.census(3 * (m - 1), Variant.TRIVALENT).total() for m in sizes]
+        got = [maps.census(3 * (m - MAP_SIZE_SHIFT), Variant.TRIVALENT).total() for m in sizes]
         want = [solutions[FamilyName.L].coeff(m, 0) for m in sizes]
         rows.append(("census:trivalent-vs-linear-terms", "trivalent census vs linear series",
                      *_prefix(got, want, first_n=sizes[0])))
 
     # embedded reference prefixes, each over the shorter of the prefix and
     # its producer's window
-    closed = {which: sol.closed_sequence(1, longest) for which, sol in solutions.items()}
-    enum_closed = {f: table.closed_sequence(1, enum_n) for f, table in enum_tables.items()}
+    closed = {which: sol.closed_sequence(longest) for which, sol in solutions.items()}
+    enum_closed = {f: table.closed_sequence() for f, table in enum_tables.items()}
     by_series, by_enum = "series vs embedded prefix", "enumeration vs embedded prefix"
     rows += [
         ("references:series-linear", by_series, *_prefix(closed[FamilyName.L], linear)),
@@ -389,7 +391,4 @@ def run_crosscheck(
         ("references:maps-planar", "planar census vs embedded prefix (one-size shift)",
          *_prefix(planar_totals, planar[MAP_SIZE_SHIFT:])),
     ]
-    return CrossCheckReport([
-        CheckResult(name, producers, indices, problem is None, problem)
-        for name, producers, indices, problem in rows
-    ])
+    return CrossCheckReport([CheckResult(*row) for row in rows])

@@ -253,13 +253,24 @@ _GRAMMARS: dict[Family, tuple[Rule, Join]] = {
 }
 
 
-def _class_grammar(family: Family) -> tuple[Rule, Join]:
+def check_class_family(family: Family) -> None:
+    """Raise ValueError unless exchange classes are defined for family."""
     if family not in CLASS_FAMILIES:
-        raise ValueError("class censuses cover the neutral and normal families")
+        raise ValueError("exchange classes cover the neutral and normal families")
+
+
+def _class_grammar(family: Family) -> tuple[Rule, Join]:
+    check_class_family(family)
     return _GRAMMARS[family][0], _new_group
 
 
+def _check_sizes(*sizes: int) -> None:
+    if min(sizes) < 0:
+        raise ValueError("size and context must be non-negative")
+
+
 def _cells(census: _Census, max_n: int) -> Iterator[tuple[int, int, Iterator]]:
+    _check_sizes(max_n)
     return ((n, k, census.cell(n, k)) for n in range(max_n + 1) for k in range(n + 2))
 
 
@@ -270,8 +281,7 @@ def enum_family(family: Family, n: int, k: int) -> Iterator[Term]:
     sequence is empty when no such terms exist.  The iterator is lazy: while
     it runs it holds the strictly smaller sub-results, never the cell.
     """
-    if n < 0 or k < 0:
-        raise ValueError("size and context must be non-negative")
+    _check_sizes(n, k)
     return _Census(*_GRAMMARS[family]).cell(n, k)
 
 
@@ -325,9 +335,9 @@ class CountTable:
     def row(self, n: int) -> list[int]:
         return [self.count(n, k) for k in range(n + 2)]
 
-    def closed_sequence(self, first: int = 1, last: int | None = None) -> list[int]:
+    def closed_sequence(self, last: int | None = None) -> list[int]:
         last = self.max_n if last is None else last
-        return [self.count(n, 0) for n in range(first, last + 1)]
+        return [self.count(n, 0) for n in range(1, last + 1)]
 
     def cells(self) -> Iterator[tuple[int, int, int]]:
         for n in range(self.max_n + 1):

@@ -12,8 +12,9 @@ never moves a binder, so each relabeling orbit (an unlabeled class) holds
 k! classes and exactly one canonical form whose free variables first occur
 in the order 0..k-1.  The class grammar in linlam.enumeration builds those
 forms directly (class_cells), and classes are counted from them alone, by
-the counting census, which builds no term node.  Listing the members of
-each class still deduplicates terms by canonical form: class_groups for one
+the counting census, which builds no term node; the labeled count, k!
+times the unlabeled one, is derived on read.  Listing the members of each
+class still deduplicates terms by canonical form: class_groups for one
 cell, and dedup_ledger for every cell of a family from one census, which
 the crosscheck compares with the class grammar.
 """
@@ -24,7 +25,7 @@ from math import factorial
 from typing import Iterable, Iterator
 
 from . import enumeration
-from .enumeration import CLASS_FAMILIES, CountTable, Family, enum_family
+from .enumeration import CountTable, Family, enum_family
 from .terms import App, FVar, Lam, Term, Var
 
 
@@ -53,12 +54,11 @@ def local_exchanges(t: Term) -> list[Term]:
     return out
 
 
-def occurrences(t: Term, depth: int = 0) -> Iterator[Var | FVar]:
+def occurrences(t: Term) -> Iterator[Var | FVar]:
     """The variables of t not bound inside it, depth first, function before argument.
 
-    Each is seen from depth binders above t: Var(b) is the binder b levels
-    up from there, and a free variable is its FVar."""
-    stack = [(t, depth)]  # the subterms still to visit, the next one last
+    Var(b) is the binder b levels above t, and a free variable is its FVar."""
+    stack = [(t, 0)]  # the subterms still to visit, the next one last
     while stack:
         t, depth = stack.pop()
         if isinstance(t, App):
@@ -115,18 +115,22 @@ def is_isomorphic(t1: Term, t2: Term) -> bool:
 class ClassCounts:
     """Exchange-class censuses with labeled and unlabeled free variables.
 
-    The unlabeled table counts the relabeling orbits of exchange classes
-    per (size, context) cell.  Relabeling the k context positions acts
-    freely on classes, so the labeled table, the number of distinct
-    canonical forms, is the unlabeled one times k!.
+    The unlabeled table, the one stored, counts the relabeling orbits of
+    exchange classes per (size, context) cell.  Relabeling the k context
+    positions acts freely on classes, so the labeled table, the number of
+    distinct canonical forms, is the unlabeled one times k!, built on read.
     """
 
-    __slots__ = ("family", "labeled", "unlabeled")
+    __slots__ = ("family", "unlabeled")
 
-    def __init__(self, family: Family, labeled: CountTable, unlabeled: CountTable) -> None:
+    def __init__(self, family: Family, unlabeled: CountTable) -> None:
         self.family = family
-        self.labeled = labeled
         self.unlabeled = unlabeled
+
+    @property
+    def labeled(self) -> CountTable:
+        entries = {(n, k): factorial(k) * c for (n, k), c in self.unlabeled.entries.items()}
+        return CountTable(self.unlabeled.max_n, entries, f"classes:{self.family.value}")
 
 
 def count_classes(family: Family, max_n: int) -> ClassCounts:
@@ -137,13 +141,7 @@ def count_classes(family: Family, max_n: int) -> ClassCounts:
     census (enumeration.count_class_cells); no term node is built and
     nothing is canonicalized.
     """
-    unlabeled = enumeration.count_class_cells(family, max_n)
-    labeled = CountTable(
-        max_n=max_n,
-        entries={(n, k): factorial(k) * c for (n, k), c in unlabeled.entries.items()},
-        provenance=f"classes:{family.value}",
-    )
-    return ClassCounts(family, labeled, unlabeled)
+    return ClassCounts(family, enumeration.count_class_cells(family, max_n))
 
 
 def _groups(terms: Iterable[Term]) -> list[list[Term]]:
@@ -164,8 +162,7 @@ def class_groups(family: Family, n: int, k: int = 0) -> list[list[Term]]:
     group the canonical representative leads and the remaining members keep
     enumeration order.
     """
-    if family not in CLASS_FAMILIES:
-        raise ValueError("class listings cover the neutral and normal families")
+    enumeration.check_class_family(family)
     return _groups(enum_family(family, n, k))
 
 
@@ -176,8 +173,7 @@ def dedup_ledger(family: Family, max_n: int) -> dict[tuple[int, int], list[list[
     draws on the same shared sub-results, and each term is canonicalized
     once.
     """
-    if family not in CLASS_FAMILIES:
-        raise ValueError("class listings cover the neutral and normal families")
+    enumeration.check_class_family(family)
     return {(n, k): _groups(cell) for n, k, cell in enumeration.enum_cells(family, max_n)}
 
 

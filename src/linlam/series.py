@@ -381,9 +381,9 @@ class BiSeries:
         """Multiply by z, dropping overflow past the truncation."""
         return self._like([[], *self.rows[:-1]])
 
-    def closed_sequence(self, first: int = 1, last: int | None = None) -> list[int]:
+    def closed_sequence(self, last: int | None = None) -> list[int]:
         last = self.trunc if last is None else last
-        return [self.coeff(n, 0) for n in range(first, last + 1)]
+        return [self.coeff(n, 0) for n in range(1, last + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +563,7 @@ def _verify_quotient(b: BiSeries, r: BiSeries, product: BiSeries) -> dict[str, i
         "QR = z QB(x+1)": _cells(r, shifted.z_shift(), "quotient abstraction rule fails"),
     }
     # closed normal classes match the shifted row sums of the neutral classes
-    closed = r.closed_sequence(1)
+    closed = r.closed_sequence()
     if closed != [sum(row) for row in b.rows[:-1]]:
         raise ArithmeticError("closed quotient column disagrees with row sums")
     return {**checked, CLOSED_SHIFT: len(closed)}

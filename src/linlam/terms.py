@@ -407,7 +407,7 @@ def to_ascii(t: Term) -> str:
 
 
 def from_ascii(text: str) -> Term:
-    """Inverse of :func:`to_ascii`."""
+    """Inverse of :func:`to_ascii`, accepting only the tokens it writes."""
     tokens = text.split()
     pos = 0
 
@@ -422,7 +422,7 @@ def from_ascii(text: str) -> Term:
         if tok == "A":
             fun = read()
             return App(fun, read())
-        if tok[0] in "VF" and tok[1:].isdecimal():
+        if tok[0] in "VF" and tok[1:].isdecimal() and str(int(tok[1:])) == tok[1:]:
             return (Var if tok[0] == "V" else FVar)(int(tok[1:]))
         raise ValueError(f"bad token {tok!r} in term serialization")
 

@@ -55,8 +55,8 @@ def censuses():
 
 
 def test_criterion_1_closed_linear_terms(linear_table):
-    series_seq = solve(FamilyName.L, 6).series.closed_sequence(1, 6)
-    enum_seq = linear_table.closed_sequence(1, 5)
+    series_seq = solve(FamilyName.L, 6).series.closed_sequence(6)
+    enum_seq = linear_table.closed_sequence(5)
     ok = series_seq == LINEAR_CLOSED and enum_seq == LINEAR_CLOSED[:5]
     report(
         1,
@@ -72,15 +72,15 @@ def test_criterion_1_closed_linear_terms_size_6_enumeration():
 
 
 def test_criterion_2_closed_normal_terms(normal_table):
-    series_seq = solve(FamilyName.LR, 6).series.closed_sequence(1, 6)
-    enum_seq = normal_table.closed_sequence(1, 5)
+    series_seq = solve(FamilyName.LR, 6).series.closed_sequence(6)
+    enum_seq = normal_table.closed_sequence(5)
     ok = series_seq == NORMAL_CLOSED and enum_seq == NORMAL_CLOSED[:5]
     report(2, ok, f"closed normal: series {series_seq}, enumeration {enum_seq}")
 
 
 def test_criterion_3_closed_planar_normal_terms(planar_table):
-    series_seq = solve(FamilyName.PR, 6).series.closed_sequence(1, 6)
-    enum_seq = planar_table.closed_sequence(1, 5)
+    series_seq = solve(FamilyName.PR, 6).series.closed_sequence(6)
+    enum_seq = planar_table.closed_sequence(5)
     ok = series_seq == PLANAR_NORMAL_CLOSED and enum_seq == PLANAR_NORMAL_CLOSED[:5]
     report(3, ok, f"closed planar normal: series {series_seq}, enumeration {enum_seq}")
 
@@ -97,7 +97,7 @@ def test_criterion_4_isomorphism_classes_of_closed_normal_terms():
     x = BiSeries(Flavor.OGF, [[0, 1]], trunc=12)
     fixpoint = x.add(qb.mul(qb.taylor_shift()).z_shift())
     routes_agree = qb == fixpoint
-    series_seq = qr.closed_sequence(1, 6)
+    series_seq = qr.closed_sequence(6)
     ok = (
         dedup == QUOTIENT_CLOSED[:5]
         and routes_agree

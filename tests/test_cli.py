@@ -432,6 +432,12 @@ class TestCrosscheck:
         bad_check = next(c for c in report.checks if c.name == "references:series-quotient")
         assert "n=3" in bad_check.divergence
         assert "10 != 11" in bad_check.divergence
+        assert bad_check.line().startswith("[FAIL] references:series-quotient")
+        data = json.loads(report.to_json())
+        assert data["pass"] is False
+        row = next(c for c in data["checks"] if c["name"] == "references:series-quotient")
+        assert list(row) == ["name", "producers", "indices", "ok", "divergence"]
+        assert row["ok"] is False and row["divergence"] == bad_check.divergence
 
     def test_empty_sequence_fails(self):
         assert crosscheck._divergence([]) == "compared nothing"

@@ -14,11 +14,12 @@ from linlam.enumeration import (
     CountTable,
     Family,
     class_cells,
+    count_class_cells,
     count_family,
     enum_cells,
     enum_family,
 )
-from linlam.exchange import count_classes
+from linlam.exchange import class_groups, count_classes, dedup_ledger
 from linlam.series import FamilyName, solve
 from linlam.terms import Kind, check_linear, classify, parse, render, to_ascii
 
@@ -68,18 +69,45 @@ class TestSmallCells:
             enum_family(Family.LINEAR, -1, 0)
 
 
+NEGATIVE_SIZE = "size and context must be non-negative"
+NOT_A_CLASS_FAMILY = "exchange classes cover the neutral and normal families"
+# every census entry point with a negative size, and every class census or
+# listing with a family that has no exchange classes; each raises on the call
+OUT_OF_DOMAIN = {
+    "enum_family": (partial(enum_family, Family.NORMAL, -1, 0), NEGATIVE_SIZE),
+    "enum_cells": (partial(enum_cells, Family.NORMAL, -1), NEGATIVE_SIZE),
+    "class_cells": (partial(class_cells, Family.NORMAL, -1), NEGATIVE_SIZE),
+    "count_family": (partial(count_family, Family.LINEAR, -1), NEGATIVE_SIZE),
+    "count_class_cells": (partial(count_class_cells, Family.NORMAL, -1), NEGATIVE_SIZE),
+    "count_classes": (partial(count_classes, Family.NEUTRAL, -1), NEGATIVE_SIZE),
+    "dedup_ledger": (partial(dedup_ledger, Family.NORMAL, -1), NEGATIVE_SIZE),
+    **{
+        f"{call.__name__}:{family.value}": (partial(call, family, 2), NOT_A_CLASS_FAMILY)
+        for call in (class_cells, count_classes, class_groups, dedup_ledger)
+        for family in (Family.LINEAR, Family.PLANAR_NORMAL)
+    },
+}
+
+
+@pytest.mark.parametrize("name", OUT_OF_DOMAIN)
+def test_each_domain_is_checked_at_every_entry_point(name):
+    call, message = OUT_OF_DOMAIN[name]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestClosedPrefixes:
     def test_linear(self):
         table = count_family(Family.LINEAR, 4)
-        assert table.closed_sequence(1, 4) == [1, 5, 60, 1105]
+        assert table.closed_sequence(4) == [1, 5, 60, 1105]
 
     def test_normal(self):
         table = count_family(Family.NORMAL, 4)
-        assert table.closed_sequence(1, 4) == [1, 3, 26, 367]
+        assert table.closed_sequence(4) == [1, 3, 26, 367]
 
     def test_planar_normal(self):
         table = count_family(Family.PLANAR_NORMAL, 5)
-        assert table.closed_sequence(1, 5) == [1, 2, 9, 54, 378]
+        assert table.closed_sequence(5) == [1, 2, 9, 54, 378]
 
     def test_neutral_bivariate_rows(self):
         table = count_family(Family.NEUTRAL, 2)
@@ -380,7 +408,7 @@ class TestCountTable:
             assert all(k <= n + 1 for n, k in count_family(family, 3).entries)
 
     def test_closed_sequence_empty_range(self):
-        assert count_family(Family.LINEAR, 0).closed_sequence(1, 0) == []
+        assert count_family(Family.LINEAR, 0).closed_sequence(0) == []
 
     def test_count_outside_table_is_zero(self):
         table = CountTable(max_n=2)

@@ -151,8 +151,8 @@ class TestIsIsomorphic:
 class TestCountClasses:
     def test_closed_normal_prefix(self):
         counts = count_classes(Family.NORMAL, 3)
-        assert counts.labeled.closed_sequence(1, 3) == [1, 2, 10]
-        assert counts.unlabeled.closed_sequence(1, 3) == [1, 2, 10]
+        assert counts.labeled.closed_sequence(3) == [1, 2, 10]
+        assert counts.unlabeled.closed_sequence(3) == [1, 2, 10]
 
     def test_neutral_bivariate_row_two(self):
         counts = count_classes(Family.NEUTRAL, 2)
@@ -192,7 +192,7 @@ class TestCountClasses:
             return original(t)
 
         monkeypatch.setattr(exchange, "canonicalize", spy)
-        assert count_classes(Family.NORMAL, 4).labeled.closed_sequence(1, 4) == [1, 2, 10, 74]
+        assert count_classes(Family.NORMAL, 4).labeled.closed_sequence(4) == [1, 2, 10, 74]
         assert count_classes(Family.NEUTRAL, 3).unlabeled.row(3) == [0, 15, 32, 22, 5]
         assert calls == []
 

@@ -53,7 +53,7 @@ class TestRowOracles:
 
     @pytest.mark.parametrize("which,want", sorted(CLOSED_PREFIXES.items(), key=str))
     def test_closed_prefixes(self, which, want):
-        assert solve(which, 6).series.closed_sequence(1, 6) == want
+        assert solve(which, 6).series.closed_sequence(6) == want
 
     def test_solve_accepts_strings(self):
         assert solve("L", 3).which is FamilyName.L
@@ -680,7 +680,7 @@ DEEP_CLOSED = {
 
 @pytest.mark.parametrize("which", list(DEEP_CLOSED))
 def test_deep_closed_column(which):
-    assert solve(which, DEEP).series.closed_sequence(1, DEEP) == DEEP_CLOSED[which]()
+    assert solve(which, DEEP).series.closed_sequence(DEEP) == DEEP_CLOSED[which]()
 
 
 # sha256 of solution_to_csv(solve(family, 40)), recorded with the schoolbook solver

@@ -122,6 +122,12 @@ class TestAscii:
         with pytest.raises(ValueError, match="bad token"):
             from_ascii(text)
 
+    # each reads as V0 or F1 through int(), but to_ascii writes neither
+    @pytest.mark.parametrize("text", ["V00", "F01", "V\u0660", "V\uff10"])
+    def test_only_what_to_ascii_writes_is_read(self, text):
+        with pytest.raises(ValueError, match="bad token"):
+            from_ascii(text)
+
 
 class TestCheckLinear:
     def test_identity_is_linear(self):
