@@ -22,6 +22,25 @@ from linlam.terms import (
 )
 
 
+# Parser inputs: strings over a small alphabet of symbols, names and stray
+# characters, and, so that a good share of them parse, texts built by the
+# term grammar from a few names.
+PARSER_ALPHABET = ["\\", "λ", ".", "(", ")", "x", "y", "z", "a", "b", "ab", "x'",
+                   "1", "#", "'", "_", "é", " ", "\t"]
+
+
+def parser_inputs():
+    names = st.sampled_from(["x", "y", "a", "x'"])
+
+    def extend(inner):
+        return (st.builds("{}{}.{}".format, st.sampled_from(["\\", "λ"]), names, inner)
+                | st.builds("{} {}".format, inner, inner)
+                | st.builds("({})".format, inner))
+
+    return (st.lists(st.sampled_from(PARSER_ALPHABET), max_size=14).map("".join)
+            | st.recursive(names, extend, max_leaves=8))
+
+
 class TestParse:
     def test_identity(self):
         assert parse("\\x. x") == Lam(Var(0))
@@ -75,6 +94,37 @@ class TestParse:
     def test_duplicate_context_name_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             parse("x", ["x", "x"])
+
+    @pytest.mark.parametrize("text, context, message, position", [
+        ("\\x. #", (), "unexpected character '#'", 4),
+        ("\\. x", (), "expected a binder name", 1),
+        ("\\x x", (), "expected '.'", 3),
+        ("\\x. \\x. x", (), "name 'x' bound twice in overlapping scopes", 5),
+        ("\\x. y", (), "unbound name 'y'", 4),
+        ("λx. x'", (), "unbound name \"x'\"", 4),
+        ("\\x. (x", (), "expected ')'", 6),
+        ("\\x. x )", (), "unexpected trailing input", 6),
+        ("f . x", ("f", "x"), "unexpected trailing input", 2),
+        ("", (), "expected a term", 0),
+        ("\\x.", (), "expected a term", 3),
+        ("x (", ("x",), "expected a term", 3),
+    ])
+    def test_each_error_names_its_site(self, text, context, message, position):
+        with pytest.raises(ParseError) as exc:
+            parse(text, context)
+        assert str(exc.value) == f"{message} (at position {position})"
+        assert exc.value.position == position
+
+    @settings(derandomize=True, database=None, max_examples=500, deadline=None)
+    @given(parser_inputs())
+    def test_parse_round_trips_or_fails_in_range(self, text):
+        context = ("x", "y")
+        try:
+            t = parse(text, context)
+        except ParseError as err:
+            assert 0 <= err.position <= len(text)
+        else:
+            assert parse(render(t, context), context) == t
 
 
 class TestRender:
