@@ -184,6 +184,8 @@ def _reference_terms_problem(embedded: list[list[Term]], top: int) -> str | None
             return f"{text!r} did not classify as normal"
         if terms.parse(terms.render(t)) != t:
             return f"{text!r} failed the print/parse round trip"
+        if cls.normal_size not in parsed:
+            return f"{text!r} classified as size {cls.normal_size}, not 1..{EMBEDDED_TOP}"
         parsed[cls.normal_size].add(t)
     if top < 1:
         return "compared nothing"
@@ -267,7 +269,11 @@ def _walk_maps(
                 planar_totals[-1] += maps.genus(m) == 0
             except ArithmeticError as err:
                 parity_problem = parity_problem or f"map {m.to_text()}: {err}"
-            twin = codes.setdefault(maps.canonical_code(m), m)
+            try:
+                twin = codes.setdefault(maps.canonical_code(m), m)
+            except ValueError as err:
+                repeat_problem = repeat_problem or f"map {m.to_text()}: {err}"
+                continue
             if repeat_problem is None and twin is not m:
                 repeat_problem = f"maps {twin.to_text()} and {m.to_text()} are isomorphic"
     if not census.total():

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import inspect
 import json
 import shlex
 from collections import Counter
@@ -371,11 +372,14 @@ class TestUsageErrors:
         assert "--max-n must be at least 1" in err
 
 
-def option_choices(command, option):
+def option_action(command, option):
     parser = cli._build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    action = next(a for a in commands.choices[command]._actions if option in a.option_strings)
-    return list(action.choices)
+    return next(a for a in commands.choices[command]._actions if option in a.option_strings)
+
+
+def option_choices(command, option):
+    return list(option_action(command, option).choices)
 
 
 class TestParserChoices:
@@ -715,6 +719,36 @@ class TestCrosscheck:
         assert not row.ok
         assert row.divergence == f"map {invalid.to_text()}: odd Euler defect: invalid map"
 
+    def test_embedded_list_reports_a_size_out_of_range(self, monkeypatch):
+        original = terms.classify
+
+        def oversized(t):
+            if t == terms.Lam(terms.Var(0)):
+                return terms.Classification(terms.Kind.NORMAL_ONLY, 4)
+            return original(t)
+
+        monkeypatch.setattr(terms, "classify", oversized)
+        report = run_crosscheck(2)
+        row = next(c for c in report.checks if c.name == "terms:embedded-list")
+        assert not row.ok
+        assert row.divergence == "'λx. x' classified as size 4, not 1..3"
+
+    def test_distinct_codes_reports_a_code_error(self, monkeypatch):
+        # two one-edge maps side by side: not transitive, so no code
+        disconnected = maps.RootedMap((0, 1, 2, 3), (1, 0, 3, 2))
+        original = maps.census_maps
+
+        def with_disconnected(n_edges, variant=maps.Variant.ALL_GENERA, cap_override=None):
+            reps = original(n_edges, variant, cap_override)
+            return reps + [disconnected] if variant is maps.Variant.ALL_GENERA else reps
+
+        monkeypatch.setattr(maps, "census_maps", with_disconnected)
+        report = run_crosscheck(2)
+        row = next(c for c in report.checks if c.name == "maps:distinct-codes")
+        assert not row.ok
+        assert row.divergence == (f"map {disconnected.to_text()}: "
+                                  "sigma and alpha must act transitively on the darts")
+
     def test_output_is_deterministic(self, capsys):
         _, first = run(capsys, "crosscheck", "--max-n", "2")
         _, second = run(capsys, "crosscheck", "--max-n", "2")
@@ -822,6 +856,17 @@ README_CLAIMS = {
     "1 2 10 74 706 8162": lambda out: out.split() == ["1", "2", "10", "74", "706", "8162"],
     "edges,vertices,count": lambda out: out.splitlines()[0] == "edges,vertices,count",
 }
+
+
+def test_restated_cap_defaults_match_run_crosscheck():
+    # the CLI restates the defaults, since reading them would load every
+    # layer for --help; README restates them too
+    params = inspect.signature(run_crosscheck).parameters
+    enum_cap, maps_cap = params["enum_cap"].default, params["maps_cap"].default
+    help_text = option_action("crosscheck", "--cap-override").help
+    assert f"(defaults {enum_cap} and {maps_cap})" in help_text
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert f"enumeration to size {enum_cap} and map census to {maps_cap} edges" in readme
 
 
 def test_readme_command_examples(capsys):
