@@ -210,38 +210,8 @@ class ParseError(ValueError):
         self.position = position
 
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
-
-_LAM, _DOT, _LPAR, _RPAR, _NAME, _END = "lam", "dot", "lpar", "rpar", "name", "end"
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c == "\\" or c == "λ":
-            tokens.append((_LAM, c, i))
-            i += 1
-        elif c == ".":
-            tokens.append((_DOT, c, i))
-            i += 1
-        elif c == "(":
-            tokens.append((_LPAR, c, i))
-            i += 1
-        elif c == ")":
-            tokens.append((_RPAR, c, i))
-            i += 1
-        else:
-            m = _NAME_RE.match(text, i)
-            if m is None:
-                raise ParseError(f"unexpected character {c!r}", i)
-            tokens.append((_NAME, m.group(), i))
-            i = m.end()
-    tokens.append((_END, "", len(text)))
-    return tokens
+# a symbol, a name, or any other visible character, which no term contains
+_TOKEN = re.compile(r"(?P<symbol>[\\λ.()])|(?P<name>[A-Za-z_][A-Za-z0-9_']*)|(?P<other>\S)")
 
 
 def parse(text: str, context: Sequence[str] = ()) -> Term:
@@ -256,75 +226,57 @@ def parse(text: str, context: Sequence[str] = ()) -> Term:
     names = list(context)
     if len(set(names)) != len(names):
         raise ValueError("duplicate name in context")
-    tokens = _tokenize(text)
+    # (kind, text, position): a symbol is its own kind, a backslash read as λ
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        if m.lastgroup == "other":
+            raise ParseError(f"unexpected character {m[0]!r}", m.start())
+        kind = "name" if m.lastgroup == "name" else m[0].replace("\\", "λ")
+        tokens.append((kind, m[0], m.start()))
+    tokens.append(("end", "", len(text)))
     pos = 0
 
-    def peek() -> tuple[str, str, int]:
-        return tokens[pos]
-
-    def advance() -> tuple[str, str, int]:
+    def take(kind: str, what: str = "") -> tuple[str, str, int] | None:
+        # consume the next token if it is of this kind; otherwise fail with
+        # "expected <what>", or return None when what is empty
         nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
+        token = tokens[pos]
+        if token[0] == kind:
+            pos += 1
+            return token
+        if what:
+            raise ParseError(f"expected {what}", token[2])
+        return None
 
-    def expect(kind: str, what: str) -> tuple[str, str, int]:
-        tok = advance()
-        if tok[0] != kind:
-            raise ParseError(f"expected {what}", tok[2])
-        return tok
-
-    def parse_lambda(binders: list[str]) -> Term:
-        advance()  # the lambda token
-        _, name, at = expect(_NAME, "a binder name")
-        if name in binders:
-            raise ParseError(f"name {name!r} bound twice in overlapping scopes", at)
-        expect(_DOT, "'.'")
-        binders.append(name)
-        body = parse_term(binders)
-        binders.pop()
-        return Lam(body)
-
-    def parse_atomic(binders: list[str]) -> Term:
-        kind, text_, at = peek()
-        if kind == _NAME:
-            advance()
-            if text_ in binders:
-                depth = len(binders) - 1 - max(
-                    i for i, b in enumerate(binders) if b == text_
-                )
-                return Var(depth)
-            if text_ in names:
-                return FVar(names.index(text_))
-            raise ParseError(f"unbound name {text_!r}", at)
-        if kind == _LPAR:
-            advance()
-            inner = parse_term(binders)
-            expect(_RPAR, "')'")
-            return inner
-        raise ParseError("expected a term", at)
-
-    def parse_term(binders: list[str]) -> Term:
-        if peek()[0] == _LAM:
-            return parse_lambda(binders)
-        result = parse_atomic(binders)
-        while True:
-            kind = peek()[0]
-            if kind in (_NAME, _LPAR):
-                result = App(result, parse_atomic(binders))
-            elif kind == _LAM:
-                # a lambda in argument position swallows the rest of the scope
-                result = App(result, parse_lambda(binders))
-                break
-            else:
-                break
+    def term(binders: list[str]) -> Term:
+        if take("λ"):
+            _, name, at = take("name", "a binder name")
+            if name in binders:
+                raise ParseError(f"name {name!r} bound twice in overlapping scopes", at)
+            take(".", "'.'")
+            return Lam(term(binders + [name]))
+        result = atom(binders)
+        while tokens[pos][0] in ("name", "(", "λ"):
+            # a lambda in argument position reads to the end of the scope
+            result = App(result, term(binders) if tokens[pos][0] == "λ" else atom(binders))
         return result
 
-    term = parse_term([])
-    kind, _, at = peek()
-    if kind != _END:
-        raise ParseError("unexpected trailing input", at)
-    return term
+    def atom(binders: list[str]) -> Term:
+        if take("("):
+            inner = term(binders)
+            take(")", "')'")
+            return inner
+        _, name, at = take("name", "a term")
+        if name in binders:  # once only, since rebinding an open scope fails
+            return Var(binders[::-1].index(name))
+        if name in names:
+            return FVar(names.index(name))
+        raise ParseError(f"unbound name {name!r}", at)
+
+    result = term([])
+    if tokens[pos][0] != "end":
+        raise ParseError("unexpected trailing input", tokens[pos][2])
+    return result
 
 
 _BINDER_LETTERS = "abcdefghijklmnopqrstuvwxyz"
