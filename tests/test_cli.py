@@ -26,6 +26,49 @@ CROSSCHECK_SHA256_AT_3 = {
         "9bd4cd55779033b361c5686dcc4cd47bece24644d1d9b85a5377af6eada5be83",
 }
 
+# sha256 of stdout, with the exit status, of each command and output format
+# cli.py writes, recorded before the writers moved from the layers into cli.py
+FORMAT_SHA256 = {
+    ("count --family classes-neutral --max-n 3", 0):
+        "0775bc069164b47d2f0cdd3eccdc197a0b648cbd8dc6eae0f2249d342e6ba978",
+    ("count --family normal --max-n 3 --json", 0):
+        "699f26a987753b9f56510fd7c47832db4424c45e4f75c32b530fbd170a80357c",
+    ("count --family linear --closed --max-n 5 --json", 0):
+        "e102efabd5618c54239685ed46e05d548e485ee0f83a0684188d614037e0b623",
+    ("count --family classes-normal --labeled --max-n 3 --json", 0):
+        "35ee149b61fa6d5fd272543c551cd065e3f71472de81ae7361593e0fd0d70eb4",
+    ("count --family classes-neutral --producer maps --max-n 3 --json", 0):
+        "ae9e48825078aa608011c0c09e540515016bfa2245f0938c9a6148d795e91a5b",
+    ("count --family normal --producer series --max-n 4 --json", 0):
+        "9136c0179c4cef4ec81152401b4ed7d26e84a96fec7b3682f6dfff69ccbde868",
+    ("count --family linear --max-n 0 --json", 0):
+        "31a864379717e7bd19f00751bd590ee5affed6cbcb374a0629bdb362fd633cc7",
+    ("list --family classes-normal --n 3", 0):
+        "d7637b47776716c4dd261bb99c71d8231cb6e3d86102fa6c0db1ca5854ab06d7",
+    ("list --family classes-normal --n 3 --json", 0):
+        "a109a28052ff45927052c8f1460166d9ddde742590072d2b8aa8932e0be17601",
+    ("list --family classes-normal --n 0", 0):
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("list --family classes-normal --n 0 --json", 0):
+        "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+    ("list --family normal --n 3 --ascii", 0):
+        "2634ce46b3708605b9eec6d31d00339c25fe316488e51f0c1f1bf7cc9518bc18",
+    ("list --family normal --n 2 --json", 0):
+        "a4fa6351dda5309506aa095002a6bd18114f5dd7c1b5240f97428f4fbbf72e5e",
+    ("maps-census --edges 3", 0):
+        "7d4ba1a209d3504392e50babcaa05fcd07e85d7b28742cbd3c49cbaf33cd73f0",
+    ("maps-census --edges 3 --json", 0):
+        "388d3b6c301c1e6bdee04eec2ee1dc46bc079b44b0cc3b859de2a80c3b15c7c1",
+    ("maps-census --edges 3 --list", 0):
+        "0975a984c98ecaa57e141778859ce1d0821e6a13282069bc4156fbb4e68251b3",
+    ("series-table --family QB --max-n 5 --json", 0):
+        "6424bfb9160f0f1f655644d8cc8fe123abeddf31c010defd590b0b4f8abcf9d2",
+    ("crosscheck --max-n 1 --cap-override 0", 1):
+        "2ed0a661a0965371bce49748ef3f4f47de6332784c854544dc37168341ccea8e",
+    ("crosscheck --max-n 1 --cap-override 0 --json", 1):
+        "a3846f2bc93fea4d3a056f570866fa269d95204e62ec7eddf7927b155bff7ef9",
+}
+
 
 def swap_free(t: terms.Term) -> terms.Term:
     # exchange free positions 0 and 1: the same class, relabeled
@@ -782,6 +825,13 @@ class TestDeterministicOutput:
         _, second = run(capsys, *argv)
         assert first == second
         assert first
+
+
+@pytest.mark.parametrize("command, status", list(FORMAT_SHA256))
+def test_every_output_format_is_pinned(capsys, command, status):
+    code, out = run(capsys, *command.split())
+    assert code == status
+    assert hashlib.sha256(out.encode()).hexdigest() == FORMAT_SHA256[command, status]
 
 
 def test_crosscheck_exercises_every_operation(monkeypatch, capsys, tmp_path):
