@@ -14,8 +14,10 @@ is 1 when a crosscheck diverges, 2 on usage errors.
 
 The parser takes its choices from linlam.names, which loads no layer, and
 each command imports the layers it runs when it runs: `--help` loads none,
-and `series-table` only the series.  json is imported only when a command
-prints JSON, and `series-table` writes its CSV one z-row at a time.
+and `series-table` only the series.  The layers return plain data, and
+every output format is written here: json, which no other module imports,
+is imported only when a command prints JSON, and `series-table` writes its
+CSV one z-row at a time.
 """
 
 from __future__ import annotations
@@ -30,10 +32,18 @@ _CLASS_FAMILIES = {f"classes-{f.value}": f for f in CLASS_FAMILIES}
 _MAP_VARIANTS = {v.value: v for v in Variant}
 
 
+def _write_json(data, indent: int | None = 2) -> None:
+    import json
+    sys.stdout.write(json.dumps(data, indent=indent) + "\n")
+
+
+def _write_csv(header: str, rows) -> None:
+    sys.stdout.write(header + "\n" + "".join(",".join(map(str, row)) + "\n" for row in rows))
+
+
 def _emit_sequence(values: list, as_json: bool) -> None:
     if as_json:
-        import json
-        print(json.dumps(values))
+        _write_json(values, indent=None)
     else:
         for v in values:
             print(v)
@@ -67,10 +77,12 @@ def cmd_count(args: argparse.Namespace) -> int:
     table = _count_table(args)
     if args.closed:
         _emit_sequence(table.closed_sequence(), args.json)
-    elif args.json:
-        sys.stdout.write(table.to_json())
+        return 0
+    cells = [(n, k, table.count(n, k)) for n in range(table.max_n + 1) for k in range(n + 2)]
+    if args.json:
+        _write_json({"provenance": table.provenance, "max_n": table.max_n, "cells": cells})
     else:
-        sys.stdout.write(table.to_csv())
+        _write_csv("n,k,count", cells)
     return 0
 
 
@@ -83,10 +95,11 @@ def cmd_list(args: argparse.Namespace) -> int:
     if args.family in _CLASS_FAMILIES:
         from . import exchange
         groups = exchange.class_groups(_CLASS_FAMILIES[args.family], args.n, k)
+        shown = [[show(t) for t in group] for group in groups]
         if args.json:
-            sys.stdout.write(exchange.groups_to_json(groups, show))
-        else:
-            sys.stdout.write(exchange.groups_to_text(groups, show))
+            _write_json(shown)
+        else:  # blank-line-separated groups, one term per line
+            sys.stdout.write("\n".join("".join(f"{line}\n" for line in g) for g in shown))
         return 0
     from . import enumeration
     family = _TERM_FAMILIES[args.family]
@@ -101,19 +114,31 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
         kwargs["enum_cap"] = args.cap_override
         kwargs["maps_cap"] = args.cap_override
     report = crosscheck.run_crosscheck(args.max_n, **kwargs)
-    sys.stdout.write(report.to_json() if args.json else report.to_text())
+    if args.json:
+        fields = ("name", "producers", "indices", "ok", "divergence")
+        checks = [{f: getattr(c, f) for f in fields} for c in report.checks]
+        _write_json({"pass": report.ok, "checks": checks})
+    else:
+        for c in report.checks:
+            where = f": {c.divergence}" if c.divergence else ""
+            print(f"[{'ok  ' if c.ok else 'FAIL'}] {c.name} ({c.producers}; {c.indices}){where}")
+        print(f"crosscheck: {'PASS' if report.ok else 'FAIL'}")
     return 0 if report.ok else 1
 
 
 def cmd_series_table(args: argparse.Namespace) -> int:
     from . import series
     sol = series.solve(FamilyName(args.family), args.max_n)
+    s, name = sol.series, sol.which.value
     if args.closed:
-        _emit_sequence(sol.series.closed_sequence(), args.json)
+        _emit_sequence(s.closed_sequence(), args.json)
     elif args.json:
-        sys.stdout.write(series.solution_to_json(sol))
-    else:
-        sys.stdout.writelines(series.solution_csv_rows(sol))
+        _write_json({"family": name, "flavor": s.flavor.value, "trunc": s.trunc, "rows": s.rows})
+    else:  # the cells k <= n + 1, one z-row n per write
+        sys.stdout.write("family,n,k,coeff\n")
+        for n, row in enumerate(s.rows):
+            cells = (row + [0] * (n + 2))[: n + 2]
+            sys.stdout.write("".join(f"{name},{n},{k},{c}\n" for k, c in enumerate(cells)))
     return 0
 
 
@@ -126,15 +151,11 @@ def cmd_maps_census(args: argparse.Namespace) -> int:
             print(m.to_text())
         return 0
     cens = maps.census(args.edges, variant, cap_override=args.cap_override)
-    cells = [[n, k, c] for (n, k), c in sorted(cens.entries.items())]
+    cells = [(n, k, c) for (n, k), c in sorted(cens.entries.items())]
     if args.json:
-        import json
-        data = {"variant": variant.value, "edges": args.edges, "cells": cells}
-        sys.stdout.write(json.dumps(data, indent=2) + "\n")
+        _write_json({"variant": variant.value, "edges": args.edges, "cells": cells})
     else:
-        print("edges,vertices,count")
-        for n, k, c in cells:
-            print(f"{n},{k},{c}")
+        _write_csv("edges,vertices,count", cells)
     return 0
 
 

@@ -109,11 +109,6 @@ class CheckResult:
     def ok(self) -> bool:
         return self.divergence is None
 
-    def line(self) -> str:
-        status = "ok  " if self.ok else "FAIL"
-        where = f": {self.divergence}" if self.divergence else ""
-        return f"[{status}] {self.name} ({self.producers}; {self.indices}){where}"
-
 
 class CrossCheckReport:
     __slots__ = ("checks",)
@@ -124,19 +119,6 @@ class CrossCheckReport:
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
-
-    def to_text(self) -> str:
-        lines = [c.line() for c in self.checks]
-        lines.append(f"crosscheck: {'PASS' if self.ok else 'FAIL'}")
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        import json
-
-        fields = ("name", "producers", "indices", "ok", "divergence")
-        checks = [{f: getattr(c, f) for f in fields} for c in self.checks]
-        data = {"pass": self.ok, "checks": checks}
-        return json.dumps(data, indent=2) + "\n"
 
 
 # Series always reach order SERIES_TRUNC, and further for a larger max_n or

@@ -339,26 +339,6 @@ class CountTable:
         last = self.max_n if last is None else last
         return [self.count(n, 0) for n in range(1, last + 1)]
 
-    def cells(self) -> Iterator[tuple[int, int, int]]:
-        for n in range(self.max_n + 1):
-            for k in range(n + 2):
-                yield n, k, self.count(n, k)
-
-    def to_csv(self) -> str:
-        lines = ["n,k,count"]
-        lines += [f"{n},{k},{c}" for n, k, c in self.cells()]
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        import json
-
-        data = {
-            "provenance": self.provenance,
-            "max_n": self.max_n,
-            "cells": [[n, k, c] for n, k, c in self.cells()],
-        }
-        return json.dumps(data, indent=2) + "\n"
-
 
 def _count_cells(census: _Counting, max_n: int, provenance: str) -> CountTable:
     table = CountTable(max_n=max_n, provenance=provenance)

@@ -175,15 +175,3 @@ def dedup_ledger(family: Family, max_n: int) -> dict[tuple[int, int], list[list[
     """
     enumeration.check_class_family(family)
     return {(n, k): _groups(cell) for n, k, cell in enumeration.enum_cells(family, max_n)}
-
-
-def groups_to_text(groups: list[list[Term]], renderer) -> str:
-    """Blank-line-separated class groups, one rendered term per line; no groups, no text."""
-    blocks = ["\n".join(renderer(t) for t in group) + "\n" for group in groups]
-    return "\n".join(blocks)
-
-
-def groups_to_json(groups: list[list[Term]], renderer) -> str:
-    import json
-
-    return json.dumps([[renderer(t) for t in group] for group in groups], indent=2) + "\n"

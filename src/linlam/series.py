@@ -71,10 +71,6 @@ so it neither flushes the caller's stdio buffers nor runs its atexit hooks.
 The caller compares the solution with the product and reaps the sibling on
 every path.  Below that order, without os.fork, or with another Python
 thread running, the product consumes the rows in-process after the solver.
-
-The CSV export yields the table one z-row at a time.  FamilySolution is a
-plain slotted class and only the JSON export imports json, so printing the
-CSV loads neither dataclasses nor json.
 """
 
 from __future__ import annotations
@@ -427,15 +423,12 @@ def _square_rows(rows: Iterable[list[int]]) -> Iterator[list[int]]:
         yield _convolve(_square_terms(forms, n), True)
 
 
-def _pair_products(pairs: Iterable[tuple[list[int], list[int]]], egf: bool,
-                   shift: bool) -> Iterator[list[int]]:
-    """Row n of b r, or of b b(x+1) under shift, as soon as rows (b_i, r_i), i <= n, have come.
-
-    Under shift no r_i is read."""
+def _pair_products(pairs: Iterable[tuple[list[int], list[int]]], egf: bool) -> Iterator[list[int]]:
+    """Row n of b r as soon as rows (b_i, r_i), i <= n, have come."""
     b_forms, r_forms = [], []
     for n, (b, r) in enumerate(pairs):
         b_forms.append(_form(b, egf))
-        r_forms.append(_form(_taylor_shift_row(b) if shift else r, egf))
+        r_forms.append(_form(r, egf))
         yield _convolve([(1, b_forms[i], r_forms[n - i]) for i in range(n + 1)], egf)
 
 
@@ -602,42 +595,13 @@ def solve(which: FamilyName | str, trunc: int = 12) -> FamilySolution:
     if quotient:
         # b b(x+1) reads b alone, so only b_n is sent
         pairs, product_rows = _beside(
-            rows, lambda bs: _pair_products(((b, None) for b in bs), egf, True), fork,
+            rows, lambda bs: _pair_products(((b, _taylor_shift_row(b)) for b in bs), egf), fork,
             sent=lambda pair: pair[0],
         )
     else:
-        pairs, product_rows = _beside(rows, lambda got: _pair_products(got, egf, False), fork)
+        pairs, product_rows = _beside(rows, lambda got: _pair_products(got, egf), fork)
     b, r = (BiSeries(flavor, rows, trunc=trunc) for rows in zip(*pairs))
     product = BiSeries(flavor, product_rows, trunc=trunc)
     checked = _verify_quotient(b, r, product) if quotient else _verify_pair(b, r, product, egf, pair)
     system = dict(zip(pair, (b, r)))
     return FamilySolution(which, system[which], system, checked)
-
-
-# ---------------------------------------------------------------------------
-# Exports
-
-
-def solution_csv_rows(sol: FamilySolution) -> Iterator[str]:
-    """The CSV table of sol in pieces: the header, then the cells k <= n + 1 of each z-row n."""
-    yield "family,n,k,coeff\n"
-    name = sol.which.value
-    for n, row in enumerate(sol.series.rows):
-        yield "".join(f"{name},{n},{k},{_at(row, k)}\n" for k in range(n + 2))
-
-
-def solution_to_csv(sol: FamilySolution) -> str:
-    return "".join(solution_csv_rows(sol))
-
-
-def solution_to_json(sol: FamilySolution) -> str:
-    import json
-
-    s = sol.series
-    data = {
-        "family": sol.which.value,
-        "flavor": s.flavor.value,
-        "trunc": s.trunc,
-        "rows": [s.row(n) for n in range(s.trunc + 1)],
-    }
-    return json.dumps(data, indent=2) + "\n"

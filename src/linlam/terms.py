@@ -273,7 +273,10 @@ def parse(text: str, context: Sequence[str] = ()) -> Term:
             return FVar(names.index(name))
         raise ParseError(f"unbound name {name!r}", at)
 
-    result = term([])
+    try:
+        result = term([])
+    except RecursionError:
+        raise ParseError("term nested too deeply", tokens[pos][2]) from None
     if tokens[pos][0] != "end":
         raise ParseError("unexpected trailing input", tokens[pos][2])
     return result
@@ -378,7 +381,10 @@ def from_ascii(text: str) -> Term:
             return (Var if tok[0] == "V" else FVar)(int(tok[1:]))
         raise ValueError(f"bad token {tok!r} in term serialization")
 
-    term = read()
+    try:
+        term = read()
+    except RecursionError:
+        raise ValueError("term serialization nested too deeply") from None
     if pos != len(tokens):
         raise ValueError("trailing tokens in term serialization")
     return term

@@ -3,7 +3,9 @@ import hashlib
 import inspect
 import json
 import shlex
+import sys
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -204,14 +206,20 @@ class TestSeriesTable:
         _, out = run(capsys, "series-table", "--family", which.value, "--max-n", "40")
         assert hashlib.sha256(out.encode()).hexdigest() == CSV_SHA256_AT_40[which]
 
-    def test_csv_is_not_built_whole(self, capsys, monkeypatch):
-        def whole_table(sol):
-            raise AssertionError("the CLI built the whole table as one string")
+    def test_csv_is_not_built_whole(self, monkeypatch):
+        pieces = []
 
-        monkeypatch.setattr(series, "solution_to_csv", whole_table)
-        code, out = run(capsys, "series-table", "--family", "QB", "--max-n", "2")
-        assert code == 0
-        assert out.splitlines()[-1] == "QB,2,3,2"
+        class Spy:
+            def write(self, text):
+                pieces.append(text)
+                return len(text)
+
+        monkeypatch.setattr(sys, "stdout", Spy())
+        assert cli.main(["series-table", "--family", "QB", "--max-n", "2"]) == 0
+        assert "".join(pieces).splitlines()[-1] == "QB,2,3,2"
+        # the header, then one piece per z-row: no piece holds two rows' n
+        z_rows = [{line.split(",")[1] for line in piece.splitlines()} for piece in pieces]
+        assert z_rows == [{"n"}, {"0"}, {"1"}, {"2"}]
 
 
 QB_2_JSON = """\
@@ -470,21 +478,22 @@ class TestCrosscheck:
         assert data["pass"] is True
         assert all(c["ok"] for c in data["checks"])
 
-    def test_tampered_reference_is_located(self, capsys):
+    def test_tampered_reference_is_located(self, capsys, monkeypatch):
         bad = ReferenceSequences(quotient_closed=(1, 2, 11, 74, 706, 8162))
-        report = run_crosscheck(2, references=bad)
-        assert not report.ok
-        failing = {c.name for c in report.checks if not c.ok}
-        assert "references:series-quotient" in failing
-        bad_check = next(c for c in report.checks if c.name == "references:series-quotient")
-        assert "n=3" in bad_check.divergence
-        assert "10 != 11" in bad_check.divergence
-        assert bad_check.line().startswith("[FAIL] references:series-quotient")
-        data = json.loads(report.to_json())
+        monkeypatch.setattr(crosscheck, "run_crosscheck", partial(run_crosscheck, references=bad))
+        code, out = run(capsys, "crosscheck", "--max-n", "2")
+        assert code == 1
+        bad_line = next(line for line in out.splitlines()
+                        if line.startswith("[FAIL] references:series-quotient"))
+        assert "n=3" in bad_line and "10 != 11" in bad_line
+        assert out.endswith("crosscheck: FAIL\n")
+        code, out = run(capsys, "crosscheck", "--max-n", "2", "--json")
+        assert code == 1
+        data = json.loads(out)
         assert data["pass"] is False
         row = next(c for c in data["checks"] if c["name"] == "references:series-quotient")
         assert list(row) == ["name", "producers", "indices", "ok", "divergence"]
-        assert row["ok"] is False and row["divergence"] == bad_check.divergence
+        assert row["ok"] is False and bad_line.endswith(f": {row['divergence']}")
 
     def test_empty_sequence_fails(self):
         assert crosscheck._divergence([]) == "compared nothing"

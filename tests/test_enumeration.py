@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linlam import enumeration
+from linlam import cli, enumeration
 from linlam.enumeration import (
     CountTable,
     Family,
@@ -391,15 +391,15 @@ def test_rules_ask_only_for_feasible_sub_results(monkeypatch, name):
 
 
 class TestCountTable:
-    def test_csv_shape(self):
-        table = count_family(Family.NORMAL, 2)
-        lines = table.to_csv().strip().splitlines()
+    def test_csv_shape(self, capsys):
+        assert cli.main(["count", "--family", "normal", "--max-n", "2"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "n,k,count"
         assert "2,0,3" in lines
 
-    def test_json_round_trip(self):
-        table = count_family(Family.NORMAL, 2)
-        data = json.loads(table.to_json())
+    def test_json_round_trip(self, capsys):
+        assert cli.main(["count", "--family", "normal", "--max-n", "2", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
         assert data["provenance"] == "enum:normal"
         assert [2, 0, 3] in data["cells"]
 

@@ -1,5 +1,6 @@
 """Importing the package loads no layer; each command loads only the layers it runs."""
 
+import ast
 import importlib
 import json
 import os
@@ -87,7 +88,7 @@ class TestImportFootprint:
     def test_help_loads_no_json(self):
         assert "json" not in modules_loaded("--help")
 
-    # the layers import json inside their JSON writers, so a CSV count loads none
+    # the cli imports json inside its one JSON writer, so a CSV count loads none
     @pytest.mark.parametrize("family", ["linear", "classes-normal"])
     def test_csv_count_loads_no_json(self, family):
         assert "json" not in modules_loaded("count", "--family", family, "--max-n", "2")
@@ -97,6 +98,20 @@ class TestImportFootprint:
         assert "json" in modules_loaded(*argv)
         code = "import sys\nfrom linlam import cli\ncli.main(sys.argv[1:])"
         assert json.loads(fresh_python(code, *argv))["rows"] == series.solve("PB", 3).series.rows
+
+    def test_only_the_cli_imports_json(self):
+        importers = set()
+        for path in sorted((ROOT / "src" / "linlam").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    modules = [node.module]
+                else:
+                    continue
+                if any(m.split(".")[0] == "json" for m in modules):
+                    importers.add(path.name)
+        assert importers == {"cli.py"}
 
 
 class TestLazyExports:

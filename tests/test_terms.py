@@ -115,6 +115,12 @@ class TestParse:
         assert str(exc.value) == f"{message} (at position {position})"
         assert exc.value.position == position
 
+    def test_nesting_past_the_stack_is_a_parse_error(self):
+        text = "(" * 1000 + "x" + ")" * 1000
+        with pytest.raises(ParseError, match="nested too deeply") as exc:
+            parse(text, ["x"])
+        assert 0 <= exc.value.position <= len(text)
+
     @settings(derandomize=True, database=None, max_examples=500, deadline=None)
     @given(parser_inputs())
     def test_parse_round_trips_or_fails_in_range(self, text):
@@ -177,6 +183,10 @@ class TestAscii:
     def test_only_what_to_ascii_writes_is_read(self, text):
         with pytest.raises(ValueError, match="bad token"):
             from_ascii(text)
+
+    def test_nesting_past_the_stack_is_a_value_error(self):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            from_ascii("L " * 1200 + "V0")
 
 
 class TestCheckLinear:
