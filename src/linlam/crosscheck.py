@@ -128,12 +128,13 @@ TRIVALENT_EDGE_CAP = maps.DEFAULT_EDGE_CAPS[Variant.TRIVALENT]
 
 
 def _divergence(triples) -> str | None:
-    """The first of (where, got, want) with got != want, or "compared nothing" on none."""
+    """The first (where, got, want) with got != want, or "compared nothing" if every value is 0."""
     problem = "compared nothing"
     for where, got, want in triples:
         if got != want:
             return f"first divergence at {where}: {got} != {want}"
-        problem = None
+        if got:
+            problem = None
     return problem
 
 

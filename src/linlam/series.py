@@ -58,19 +58,19 @@ classes (QB/QR) it is the Taylor shift, so B(z,x) = x + z B(z,x) B(z,x+1).
 Every solution is re-checked, exactly, against its defining equations
 before being returned, and records each equation with the cells it compared.
 
-The check's one expensive operation, its product (L L, b r, or b b(x+1) for
-the quotient pair), runs beside the solver.  From order _SIBLING_TRUNC up,
-solve forks a sibling process at its start and writes each z-row to it
-through a pipe the moment the solver fixes it: L_n, the pair (b_n, r_n), or
-b_n alone for the quotient pair, whose product reads no r, as marshal data
-behind an 8-byte length.  The sibling builds its own forms from those rows
-alone (and, for the quotient pair, its own Taylor shifts of b), computes
-product row n as soon as rows 0 .. n have come, and once the last row has
-come sends the product rows back the same way and leaves through os._exit,
-so it neither flushes the caller's stdio buffers nor runs its atexit hooks.
-The caller compares the solution with the product and reaps the sibling on
-every path.  Below that order, without os.fork, or with another Python
-thread running, the product consumes the rows in-process after the solver.
+The check's one expensive operation, its product (L L, or b r for a pair),
+runs beside the solver.  From order _SIBLING_TRUNC up, solve forks a
+sibling process at its start and writes each z-row to it through a pipe the
+moment the solver fixes it, L_n or b_n, as marshal data behind an 8-byte
+length.  The sibling reads no r: it forms r_n from b_(n-1) by the pair's own
+abstraction rule, so a wrong r_n fails the neutral equation too.  It
+computes product row n as soon as L_n, or b_(n-1), has come, and once the
+last row has come sends the product rows back the same way and leaves
+through os._exit, so it neither flushes the caller's stdio buffers nor runs
+its atexit hooks.  The caller compares the solution with the product and
+reaps the sibling on every path.  Below that order, without os.fork, or with
+another Python thread running, the product consumes the rows in-process
+after the solver.
 """
 
 from __future__ import annotations
@@ -423,13 +423,16 @@ def _square_rows(rows: Iterable[list[int]]) -> Iterator[list[int]]:
         yield _convolve(_square_terms(forms, n), True)
 
 
-def _pair_products(pairs: Iterable[tuple[list[int], list[int]]], egf: bool) -> Iterator[list[int]]:
-    """Row n of b r as soon as rows (b_i, r_i), i <= n, have come."""
-    b_forms, r_forms = [], []
-    for n, (b, r) in enumerate(pairs):
+def _pair_products(bs: Iterable[list[int]], egf: bool, abstract, trunc: int) -> Iterator[list[int]]:
+    """Row n of b r, r_n = abstract(b_(n-1), n), once b_(n-1) has come; b_trunc is read, unused."""
+    b_forms, r_forms = [], [_form([], egf)]
+    yield []
+    for n, b in enumerate(bs, 1):
+        if n > trunc:
+            break
         b_forms.append(_form(b, egf))
-        r_forms.append(_form(r, egf))
-        yield _convolve([(1, b_forms[i], r_forms[n - i]) for i in range(n + 1)], egf)
+        r_forms.append(_form(abstract(b, n), egf))
+        yield _convolve([(1, b_forms[i], r_forms[n - i]) for i in range(n)], egf)
 
 
 def _send(out, value) -> None:
@@ -448,10 +451,11 @@ def _received(src) -> Iterator:
         yield marshal.loads(data)
 
 
-# In-process checks won at every order 8 to 40 for L, LB, PB and QB (2-core
-# Xeon VM, Python 3.11): at 12 the crosscheck's four took 4.7 ms, 13.1 ms
-# forked; at 40 L took 12.5 against 13.2 ms, LB 17.5 against 21.0 ms.  At 70
-# the sibling wins: all seven solves took 1.10 s forked against 1.22 s.
+# L, LB, PB and QB solved in-process against forked, medians of 9 alternating
+# fresh processes (2-core Xeon VM, Python 3.11): the four took 6.9 against
+# 12.4 ms at 12, 23.2 against 22.1 ms at 24, 74.9 against 52.9 ms at 40, 117
+# against 84 ms at 48 and 540 against 320 ms at 70.  The fork wins from about
+# 24 up, so 48 is conservative: it forks only where the fork clearly pays.
 _SIBLING_TRUNC = 48
 
 
@@ -550,7 +554,7 @@ def _verify_pair(b: BiSeries, r: BiSeries, product: BiSeries, egf: bool, pair) -
 
 def _verify_quotient(b: BiSeries, r: BiSeries, product: BiSeries) -> dict[str, int]:
     shifted = b.taylor_shift()
-    fixpoint = BiSeries(Flavor.OGF, [[0, 1]], trunc=b.trunc).add(product.z_shift())
+    fixpoint = BiSeries(Flavor.OGF, [[0, 1]], trunc=b.trunc).add(product)
     checked = {
         FIXPOINT: _cells(b, fixpoint, "quotient solution fails its fixpoint equation"),
         "QR = z QB(x+1)": _cells(r, shifted.z_shift(), "quotient abstraction rule fails"),
@@ -568,9 +572,9 @@ def solve(which: FamilyName | str, trunc: int = 12) -> FamilySolution:
     All coefficients are exact integers.  A mutual pair is solved once for
     both of its families, which the solution's system carries.  The
     solution is checked against its defining equations before returning; a
-    failure raises ArithmeticError.  The check's product (L L, b r, or
-    b b(x+1) for the quotient pair) is computed beside the solver, in a
-    sibling process from order _SIBLING_TRUNC up if the platform can fork.
+    failure raises ArithmeticError.  The check's product (L L, or b r with r
+    formed from b alone) is computed beside the solver, in a sibling process
+    from order _SIBLING_TRUNC up if the platform can fork.
     The record, checked, maps each equation of the system to its cells
     compared: the (trunc + 1)(trunc + 4)/2 cells k <= n + 1 of a series, or
     the trunc of the closed column.
@@ -591,15 +595,10 @@ def solve(which: FamilyName | str, trunc: int = 12) -> FamilySolution:
     # the abstraction rule: r_n(x) = b_(n-1)(x + 1) for classes, else the
     # same-order derivative, back-substituted under the degree bound n
     abstract = (lambda row, n: _taylor_shift_row(row)) if quotient else _back_substitute
-    rows = _rows_pair(trunc, egf, abstract)
-    if quotient:
-        # b b(x+1) reads b alone, so only b_n is sent
-        pairs, product_rows = _beside(
-            rows, lambda bs: _pair_products(((b, _taylor_shift_row(b)) for b in bs), egf), fork,
-            sent=lambda pair: pair[0],
-        )
-    else:
-        pairs, product_rows = _beside(rows, lambda got: _pair_products(got, egf), fork)
+    pairs, product_rows = _beside(
+        _rows_pair(trunc, egf, abstract), lambda bs: _pair_products(bs, egf, abstract, trunc),
+        fork, sent=lambda pair: pair[0],
+    )
     b, r = (BiSeries(flavor, rows, trunc=trunc) for rows in zip(*pairs))
     product = BiSeries(flavor, product_rows, trunc=trunc)
     checked = _verify_quotient(b, r, product) if quotient else _verify_pair(b, r, product, egf, pair)

@@ -472,6 +472,26 @@ class TestEquationChecksAreLive:
             solve(which, FORKED)
         assert seen
 
+    @pytest.mark.parametrize("which", [FamilyName.LB, FamilyName.PB])
+    def test_pair_abstraction_row(self, monkeypatch, which):
+        # corrupt the solver's r_20 only, in this process: b_21 is then built
+        # from it, and the product's own r_20, formed from b_19, exposes it
+        real = series._back_substitute
+        caller = os.getpid()
+        seen = []
+
+        def wrong(known, kmax):
+            out = real(known, kmax)
+            if kmax == 20 and not seen and os.getpid() == caller:
+                seen.append(kmax)
+                out[3] += 1
+            return out
+
+        monkeypatch.setattr(series, "_back_substitute", wrong)
+        with pytest.raises(ArithmeticError, match="neutral family solution fails its equation"):
+            solve(which, FORKED)
+        assert seen
+
     @pytest.mark.parametrize(
         "side,message", [(0, "fixpoint equation"), (1, "abstraction rule")]
     )
@@ -524,8 +544,7 @@ def test_product_runs_in_a_sibling_process(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("which", ["L", "LB", "PB", "QB"])
 def test_what_crosses_the_pipe(monkeypatch, which):
-    # the caller sends each row the product reads: L_n, the pair (b_n, r_n),
-    # or, since b b(x+1) reads no r, b_n alone for the quotient pair
+    # the caller sends L_n, or b_n alone for every pair: the product forms r itself
     sent = []
     real = series._send
     caller = os.getpid()
@@ -537,11 +556,7 @@ def test_what_crosses_the_pipe(monkeypatch, which):
 
     monkeypatch.setattr(series, "_send", spy)
     sol = solve(which, FORKED)
-    rows = [s.rows for s in sol.system.values()]
-    if which in ("L", "QB"):
-        assert sent == rows[0]
-    else:
-        assert sent == list(zip(*rows))
+    assert sent == sol.series.rows
     assert_no_child()
 
 
@@ -625,6 +640,13 @@ def test_a_sibling_that_dies_without_replying(monkeypatch, trunc):
     assert_no_child()
 
 
+def abstraction(pair):
+    """The abstraction rule solve gives the pair: r_n from b_(n-1) and n."""
+    if pair[0] is FamilyName.QB:
+        return lambda row, n: series._taylor_shift_row(row)
+    return series._back_substitute
+
+
 @pytest.mark.parametrize("pair", [None, *series._PAIRS])
 def test_streamed_products_equal_the_series_product(pair):
     # BiSeries.mul, the whole-series product, is the reference
@@ -634,8 +656,34 @@ def test_streamed_products_equal_the_series_product(pair):
         return
     b, r = (solve(pair[0], 40).system[name] for name in pair)
     egf = b.flavor is Flavor.EGF
-    other = b.taylor_shift() if pair[0] is FamilyName.QB else r
-    assert list(series._pair_products(zip(b.rows, other.rows), egf)) == b.mul(other).rows
+    assert list(series._pair_products(b.rows, egf, abstraction(pair), 40)) == b.mul(r).rows
+
+
+@pytest.mark.parametrize("pair", series._PAIRS)
+def test_pair_products_keep_pace_with_b(pair):
+    trunc = 12
+    b = solve(pair[0], trunc).system[pair[0]]
+    real = abstraction(pair)
+    pulled, formed = [], []
+
+    def rows():
+        for row in b.rows:
+            pulled.append(row)
+            yield row
+
+    def abstract(row, n):
+        formed.append(n)
+        return real(row, n)
+
+    products = series._pair_products(rows(), b.flavor is Flavor.EGF, abstract, trunc)
+    for n in range(trunc + 1):
+        next(products)
+        # row n is out once b_(n-1) has come, before b_n is pulled
+        assert pulled == b.rows[:n]
+    assert next(products, None) is None
+    # b_trunc is read but forms no r_(trunc+1) and no row past trunc
+    assert pulled == b.rows
+    assert formed == list(range(1, trunc + 1))
 
 
 # ---------------------------------------------------------------------------
