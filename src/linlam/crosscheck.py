@@ -155,9 +155,10 @@ def _prefix(got, want, first_n: int = 1) -> tuple[str, str | None]:
     )
 
 
-def _reference_terms_problem(embedded: list[list[Term]], top: int) -> str | None:
+def _reference_terms_problem(embedded: list[list[Term]], top: int, ledger: Ledger) -> str | None:
     # the first way parsing, printing, classification or the enumeration of
-    # sizes 1..top disagrees with the embedded list, if any
+    # sizes 1..top, read from the normal family's dedup ledger, disagrees
+    # with the embedded list, if any
     parsed: dict[int, set[Term]] = {n: set() for n in range(1, EMBEDDED_TOP + 1)}
     for text, t in zip(NORMAL_TERMS_UP_TO_SIZE_3, chain.from_iterable(embedded)):
         if not terms.check_linear(t, 0):
@@ -173,7 +174,7 @@ def _reference_terms_problem(embedded: list[list[Term]], top: int) -> str | None
     if top < 1:
         return "compared nothing"
     for n in range(1, top + 1):
-        enumerated = set(enumeration.enum_family(Family.NORMAL, n, 0))
+        enumerated = set(chain.from_iterable(ledger[(n, 0)]))
         if enumerated != parsed[n]:
             return f"size {n}: enumerated {len(enumerated)} != listed {len(parsed[n])}"
     return None
@@ -293,7 +294,7 @@ def run_crosscheck(
     ledgers = {f: exchange.dedup_ledger(f, EMBEDDED_TOP) for f in enumeration.CLASS_FAMILIES}
     rows = [
         ("terms:embedded-list", "parser/classifier vs enumeration", f"sizes 1..{top}",
-         _reference_terms_problem(embedded, top)),
+         _reference_terms_problem(embedded, top, ledgers[Family.NORMAL])),
         ("classes:embedded-grouping", "canonicalize vs embedded classes", "sizes 1..3",
          _grouping_problem(embedded, ledgers[Family.NORMAL])),
         ("classes:construction-vs-dedup", "class grammar vs canonical dedup",

@@ -122,9 +122,7 @@ class RootedMap:
         for d in range(n):
             if self.alpha[d] == d or self.alpha[self.alpha[d]] != d:
                 raise ValueError("alpha must be a fixed-point-free involution")
-        if not 0 <= self.root < n:
-            raise ValueError("root dart out of range")
-        canonical_code(self)  # raises ValueError unless sigma and alpha act transitively
+        canonical_code(self)  # raises ValueError for a root out of range or an intransitive pair
 
     def to_text(self) -> str:
         return (
@@ -176,6 +174,8 @@ def canonical_code(m: RootedMap) -> tuple[int, ...]:
     equal codes exactly when a root-preserving conjugation links them.
     """
     sigma, alpha, root = m.sigma, m.alpha, m.root
+    if not 0 <= root < len(sigma):
+        raise ValueError("root dart out of range")
     num = [-1] * len(sigma)  # each dart's position in the order of first visit
     num[root] = 0
     order = [root]

@@ -288,6 +288,8 @@ _CONTEXT_LETTERS = ("x", "y", "z", "u", "v", "w", "s", "t")
 
 def default_context(k: int) -> tuple[str, ...]:
     """Conventional names for a context of size k (x, y, z, ... then x9, x10)."""
+    if k < 0:
+        raise ValueError("context size must be non-negative")
     if k <= len(_CONTEXT_LETTERS):
         return _CONTEXT_LETTERS[:k]
     extra = tuple(f"x{j}" for j in range(len(_CONTEXT_LETTERS) + 1, k + 1))

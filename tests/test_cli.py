@@ -866,7 +866,9 @@ def test_crosscheck_exercises_every_operation(monkeypatch, capsys, tmp_path):
     operations = [
         (terms, "parse"), (terms, "render"), (terms, "check_linear"),
         (terms, "classify"),
-        (enumeration, "enum_family"), (enumeration, "count_family"),
+        # the crosscheck reads enumerated terms from exchange.dedup_ledger's one
+        # enum_cells census, so enum_cells, not enum_family, is what it runs
+        (enumeration, "enum_cells"), (enumeration, "count_family"),
         (exchange, "local_exchanges"), (exchange, "canonicalize"),
         (exchange, "is_isomorphic"), (exchange, "count_classes"),
         (series, "_square_rows"), (series, "_pair_products"), (series.BiSeries, "d_dx"),

@@ -113,6 +113,31 @@ class TestImportFootprint:
                     importers.add(path.name)
         assert importers == {"cli.py"}
 
+    def test_every_private_name_is_read(self):
+        defined, read = {}, set()
+        for path in sorted((ROOT / "src" / "linlam").glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                for name in names:
+                    if name.startswith("_") and not name.startswith("__"):
+                        defined[name] = path.name
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    read.update(alias.name for alias in node.names)
+        unread = {name: home for name, home in defined.items() if name not in read}
+        assert defined and unread == {}
+
 
 class TestLazyExports:
     def test_all_is_unchanged(self):

@@ -100,6 +100,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="transitively"):
             m.validate()
 
+    # a negative root must not wrap to a dart counted from the end
+    @pytest.mark.parametrize("root", [-1, 2])
+    @pytest.mark.parametrize("check", [canonical_code, RootedMap.validate])
+    def test_root_outside_the_darts_rejected(self, check, root):
+        with pytest.raises(ValueError, match="root dart out of range"):
+            check(RootedMap(sigma=(1, 0), alpha=(1, 0), root=root))
+
     def test_odd_dart_set_rejected(self):
         with pytest.raises(ValueError):
             RootedMap(sigma=(0,), alpha=(0,)).validate()

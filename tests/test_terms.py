@@ -254,6 +254,12 @@ def test_default_context_is_stable():
     assert len(set(default_context(12))) == 12
 
 
+@pytest.mark.parametrize("k", [-1, -3])
+def test_negative_context_size_rejected(k):
+    with pytest.raises(ValueError, match="context size"):
+        default_context(k)
+
+
 class TestInvariantsOverSmallTerms:
     """Independent oracles checked over every linear term of size <= 3."""
 
