@@ -10,7 +10,10 @@ Subcommands:
 
 `count --closed` and `series-table --closed` print one number per line so
 the output diffs directly against published sequence prefixes.  Exit status
-is 1 when a crosscheck diverges, 2 on usage errors.
+is 1 when a crosscheck diverges, 2 on usage errors, and 141 (128 + SIGPIPE,
+as a shell reports a process that signal ended) when the reader of stdout
+closes it before the output ends, as `| head` does; nothing is then written
+to stderr.
 
 The parser takes its choices from linlam.names, which loads no layer, and
 each command imports the layers it runs when it runs: `--help` loads none,
@@ -23,6 +26,7 @@ CSV one z-row at a time.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .names import CLASS_FAMILIES, FAMILY_SERIES, Family, FamilyName, Variant
@@ -32,13 +36,25 @@ _CLASS_FAMILIES = {f"classes-{f.value}": f for f in CLASS_FAMILIES}
 _MAP_VARIANTS = {v.value: v for v in Variant}
 
 
+class _StdoutClosed(Exception):
+    """The reader of stdout closed it: a write or flush met a broken pipe."""
+
+
+def _write(text: str) -> None:
+    """Write to stdout; every command's output goes through here."""
+    try:
+        sys.stdout.write(text)
+    except BrokenPipeError as err:
+        raise _StdoutClosed from err
+
+
 def _write_json(data, indent: int | None = 2) -> None:
     import json
-    sys.stdout.write(json.dumps(data, indent=indent) + "\n")
+    _write(json.dumps(data, indent=indent) + "\n")
 
 
 def _write_csv(header: str, rows) -> None:
-    sys.stdout.write(header + "\n" + "".join(",".join(map(str, row)) + "\n" for row in rows))
+    _write(header + "\n" + "".join(",".join(map(str, row)) + "\n" for row in rows))
 
 
 def _emit_sequence(values: list, as_json: bool) -> None:
@@ -46,7 +62,7 @@ def _emit_sequence(values: list, as_json: bool) -> None:
         _write_json(values, indent=None)
     else:
         for v in values:
-            print(v)
+            _write(f"{v}\n")
 
 
 def _count_table(args: argparse.Namespace):
@@ -99,7 +115,7 @@ def cmd_list(args: argparse.Namespace) -> int:
         if args.json:
             _write_json(shown)
         else:  # blank-line-separated groups, one term per line
-            sys.stdout.write("\n".join("".join(f"{line}\n" for line in g) for g in shown))
+            _write("\n".join("".join(f"{line}\n" for line in g) for g in shown))
         return 0
     from . import enumeration
     family = _TERM_FAMILIES[args.family]
@@ -121,8 +137,8 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
     else:
         for c in report.checks:
             where = f": {c.divergence}" if c.divergence else ""
-            print(f"[{'ok  ' if c.ok else 'FAIL'}] {c.name} ({c.producers}; {c.indices}){where}")
-        print(f"crosscheck: {'PASS' if report.ok else 'FAIL'}")
+            _write(f"[{'ok  ' if c.ok else 'FAIL'}] {c.name} ({c.producers}; {c.indices}){where}\n")
+        _write(f"crosscheck: {'PASS' if report.ok else 'FAIL'}\n")
     return 0 if report.ok else 1
 
 
@@ -135,10 +151,10 @@ def cmd_series_table(args: argparse.Namespace) -> int:
     elif args.json:
         _write_json({"family": name, "flavor": s.flavor.value, "trunc": s.trunc, "rows": s.rows})
     else:  # the cells k <= n + 1, one z-row n per write
-        sys.stdout.write("family,n,k,coeff\n")
+        _write("family,n,k,coeff\n")
         for n, row in enumerate(s.rows):
             cells = (row + [0] * (n + 2))[: n + 2]
-            sys.stdout.write("".join(f"{name},{n},{k},{c}\n" for k, c in enumerate(cells)))
+            _write("".join(f"{name},{n},{k},{c}\n" for k, c in enumerate(cells)))
     return 0
 
 
@@ -148,7 +164,7 @@ def cmd_maps_census(args: argparse.Namespace) -> int:
     if args.list:
         reps = maps.census_maps(args.edges, variant, cap_override=args.cap_override)
         for m in reps:
-            print(m.to_text())
+            _write(m.to_text() + "\n")
         return 0
     cens = maps.census(args.edges, variant, cap_override=args.cap_override)
     cells = [(n, k, c) for (n, k), c in sorted(cens.entries.items())]
@@ -252,7 +268,19 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(str(err))
     run = {"count": cmd_count, "list": cmd_list, "crosscheck": cmd_crosscheck,
            "series-table": cmd_series_table, "maps-census": cmd_maps_census}[args.command]
-    return run(args)
+    try:
+        status = run(args)
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError as err:
+            raise _StdoutClosed from err
+    except _StdoutClosed:
+        # what is still buffered goes to devnull, so the flush at exit stays silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE
+    return status
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ known ground truth.
 
 from __future__ import annotations
 
+from array import array
 from itertools import chain
 from math import factorial
 
@@ -230,6 +231,26 @@ def _class_construction_problem(top: int, ledgers: dict[Family, Ledger]) -> str 
     return None
 
 
+def _code(m: maps.RootedMap) -> bytes:
+    """m's canonical code, packed exactly as 16-bit dart numbers."""
+    return array("H", maps.canonical_code(m)).tobytes()
+
+
+def _isomorphic_pair(n_edges: int, code: bytes, maps_cap: int) -> str:
+    """Name the first two maps of the n-edge all-genera census whose code is code."""
+    twins: list[maps.RootedMap] = []
+
+    def match(m: maps.RootedMap) -> None:
+        try:
+            if _code(m) == code:
+                twins.append(m)
+        except ValueError:  # no code, so no match
+            pass
+
+    maps.each_map(n_edges, match, Variant.ALL_GENERA, maps_cap)
+    return f"maps {twins[0].to_text()} and {twins[1].to_text()} are isomorphic"
+
+
 def _walk_maps(
     maps_n: int, maps_cap: int
 ) -> tuple[CountTable, list[int], str | None, str | None]:
@@ -238,28 +259,38 @@ def _walk_maps(
     Returns the (edges, vertices) table, the number of genus-0 maps per
     edge count, and the first Euler parity problem and the first pair of
     isomorphic maps found, if any; the census never consults
-    canonical_code, so the codes are an independent check.
+    canonical_code, so the codes are an independent check.  Each map is
+    tallied and checked as each_map emits it, and only the codes of one
+    edge count are kept; a repeated code walks that edge count again to
+    name both maps.
     """
     census = CountTable(max_n=maps_n, provenance="maps:all")
+    entries = census.entries
     planar_totals = []
     parity_problem = repeat_problem = None
     for n in range(1, maps_n + 1):
-        codes: dict[tuple[int, ...], maps.RootedMap] = {}
-        planar_totals.append(0)
-        for m in maps.census_maps(n, Variant.ALL_GENERA, cap_override=maps_cap):
+        codes: set[bytes] = set()
+        planar = 0
+
+        def visit(m: maps.RootedMap) -> None:
+            nonlocal planar, parity_problem, repeat_problem
             key = (n, m.n_vertices)
-            census.entries[key] = census.entries.get(key, 0) + 1
+            entries[key] = entries.get(key, 0) + 1
             try:
-                planar_totals[-1] += maps.genus(m) == 0
+                planar += maps.genus(m) == 0
             except ArithmeticError as err:
                 parity_problem = parity_problem or f"map {m.to_text()}: {err}"
             try:
-                twin = codes.setdefault(maps.canonical_code(m), m)
+                code = _code(m)
             except ValueError as err:
                 repeat_problem = repeat_problem or f"map {m.to_text()}: {err}"
-                continue
-            if repeat_problem is None and twin is not m:
-                repeat_problem = f"maps {twin.to_text()} and {m.to_text()} are isomorphic"
+                return
+            if code in codes:
+                repeat_problem = repeat_problem or _isomorphic_pair(n, code, maps_cap)
+            codes.add(code)
+
+        maps.each_map(n, visit, Variant.ALL_GENERA, maps_cap)
+        planar_totals.append(planar)
     if not census.total():
         parity_problem = repeat_problem = "compared nothing"
     return census, planar_totals, parity_problem, repeat_problem

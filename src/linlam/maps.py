@@ -13,6 +13,11 @@ each image either an already labelled dart or the first dart of the next
 fresh edge.  Every map therefore comes out exactly once and connected, with
 no duplicate check and no transitivity filter.  canonical_code stays as an
 independent isomorphism test.
+
+The searches keep no list: they emit each map as they complete it, and
+each_map streams the maps of one census to a callback.  census and the
+crosscheck's walk tally the maps as they arrive, so their memory stays flat
+as the census grows; census_maps is the wrapper that lists them.
 """
 
 from __future__ import annotations
@@ -155,9 +160,22 @@ def faces(m: RootedMap) -> Perm:
 
 
 def genus(m: RootedMap) -> int:
-    """Genus from Euler's formula c(sigma) - c(alpha) + c(faces) = 2 - 2g."""
-    chi = m.n_vertices - cycle_count(m.alpha) + cycle_count(faces(m))
-    defect = 2 - chi
+    """Genus from Euler's formula c(sigma) - c(alpha) + c(faces) = 2 - 2g.
+
+    The faces are the cycles of d -> alpha(sigma(d)), the inverse of the
+    face permutation, counted in one walk without building it.
+    """
+    sigma, alpha = m.sigma, m.alpha
+    seen = [False] * len(sigma)
+    n_faces = 0
+    for d in range(len(sigma)):
+        if seen[d]:
+            continue
+        n_faces += 1
+        while not seen[d]:
+            seen[d] = True
+            d = alpha[sigma[d]]
+    defect = 2 - (m.n_vertices - cycle_count(alpha) + n_faces)
     if defect % 2:
         raise ArithmeticError("odd Euler defect: invalid map")
     g = defect // 2
@@ -198,8 +216,8 @@ def canonical_code(m: RootedMap) -> tuple[int, ...]:
 # Exhaustive censuses
 
 
-def _sigmas(dart_count: int) -> list[Perm]:
-    """Vertex rotations of every rooted map on dart_count darts, in lex order.
+def _sigmas(dart_count: int, emit: Callable[[Perm], object]) -> None:
+    """Call emit with the vertex rotation of every rooted map on dart_count darts, in lex order.
 
     Dart d takes as sigma(d) a labelled dart not yet in sigma's image, or
     the first dart of the next fresh edge.  Reaching a dart that is still
@@ -209,7 +227,6 @@ def _sigmas(dart_count: int) -> list[Perm]:
     """
     sigma = [0] * dart_count
     hit = [False] * dart_count
-    found: list[Perm] = []
     last = dart_count - 1
 
     def rec(d: int, fresh: int) -> None:
@@ -217,7 +234,7 @@ def _sigmas(dart_count: int) -> list[Perm]:
             return
         if d == last:
             sigma[d] = hit.index(False)
-            found.append(tuple(sigma))
+            emit(tuple(sigma))
             return
         for e in range(min(fresh + 1, dart_count)):
             if not hit[e]:
@@ -226,8 +243,10 @@ def _sigmas(dart_count: int) -> list[Perm]:
                 rec(d + 1, fresh + 2 if e == fresh else fresh)
                 hit[e] = False
 
-    rec(0, 2)
-    return found
+    try:
+        rec(0, 2)
+    finally:
+        del rec  # rec refers to itself: free it, and what it holds, now and not at a collection
 
 
 def _trivalent_search(sigma: list[int], emit: Callable[[], object]) -> None:
@@ -264,8 +283,11 @@ def _trivalent_search(sigma: list[int], emit: Callable[[], object]) -> None:
                 rec(a + 1, fresh_b + 2 if c == fresh_b else fresh_b)
                 sigma[a] = sigma[b] = sigma[c] = -1
 
-    if dart_count % 3 == 0:
-        rec(0, 2)
+    try:
+        if dart_count % 3 == 0:
+            rec(0, 2)
+    finally:
+        del rec  # as in _sigmas
 
 
 def check_edge_count(n_edges: int, variant: Variant, cap_override: int | None) -> None:
@@ -280,15 +302,18 @@ def check_edge_count(n_edges: int, variant: Variant, cap_override: int | None) -
         )
 
 
-def census_maps(
-    n_edges: int, variant: Variant = Variant.ALL_GENERA, cap_override: int | None = None
-) -> list[RootedMap]:
-    """Every rooted map with n edges, once each, in its canonical labelling.
+def each_map(
+    n_edges: int,
+    emit: Callable[[RootedMap], object],
+    variant: Variant = Variant.ALL_GENERA,
+    cap_override: int | None = None,
+) -> None:
+    """Call emit with every rooted map with n edges, once each, in its canonical labelling.
 
     The maps sit on the standard involution and root 0.  All-genera and
     planar maps are the lexicographically least sigma among their
-    relabellings, listed in lexicographic order; planar ones are the
-    genus-zero maps among them.  Trivalent maps are least, and listed, by
+    relabellings, emitted in lexicographic order; planar ones are the
+    genus-zero maps among them.  Trivalent maps are least, and emitted, by
     their vertex sequence.  Both are the representatives, in the order,
     that a scan over every sigma keeping each map's first appearance finds.
     """
@@ -296,20 +321,34 @@ def census_maps(
     alpha = standard_alpha(n_edges)
     if variant is Variant.TRIVALENT:
         sigma = [-1] * (2 * n_edges)
-        reps: list[RootedMap] = []
-        _trivalent_search(sigma, lambda: reps.append(RootedMap(tuple(sigma), alpha)))
-        return reps
-    every = (RootedMap(s, alpha) for s in _sigmas(2 * n_edges))
-    if variant is Variant.PLANAR_ONLY:
-        return [m for m in every if genus(m) == 0]
-    return list(every)
+        _trivalent_search(sigma, lambda: emit(RootedMap(tuple(sigma), alpha)))
+    elif variant is Variant.PLANAR_ONLY:
+
+        def planar(s: Perm) -> None:
+            m = RootedMap(s, alpha)
+            if genus(m) == 0:
+                emit(m)
+
+        _sigmas(2 * n_edges, planar)
+    else:
+        _sigmas(2 * n_edges, lambda s: emit(RootedMap(s, alpha)))
+
+
+def census_maps(
+    n_edges: int, variant: Variant = Variant.ALL_GENERA, cap_override: int | None = None
+) -> list[RootedMap]:
+    """The maps each_map emits, as a list in the order it emits them."""
+    reps: list[RootedMap] = []
+    each_map(n_edges, reps.append, variant, cap_override)
+    return reps
 
 
 def census(
     n_edges: int, variant: Variant = Variant.ALL_GENERA, cap_override: int | None = None
 ) -> CountTable:
-    """Tally the maps with n edges by vertex count, as cells (edges, vertices);
-    trivalent maps, which all have 2n/3 vertices, are counted and never built."""
+    """Tally the maps with n edges by vertex count, as cells (edges, vertices),
+    as each_map emits them; trivalent maps, which all have 2n/3 vertices, are
+    counted and never built."""
     table = CountTable(max_n=n_edges, provenance=f"maps:{variant.value}")
     if variant is Variant.TRIVALENT:
         check_edge_count(n_edges, variant, cap_override)
@@ -318,7 +357,11 @@ def census(
         total = next(ticks)
         table.entries = {(n_edges, 2 * n_edges // 3): total} if total else {}
     else:
-        for m in census_maps(n_edges, variant, cap_override):
+        entries = table.entries
+
+        def tally(m: RootedMap) -> None:
             key = (n_edges, m.n_vertices)
-            table.entries[key] = table.entries.get(key, 0) + 1
+            entries[key] = entries.get(key, 0) + 1
+
+        each_map(n_edges, tally, variant, cap_override)
     return table

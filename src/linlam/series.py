@@ -436,12 +436,15 @@ def _received(src) -> Iterator:
         yield marshal.loads(data)
 
 
-# L, LB, PB and QB solved in-process against forked, medians of 9 alternating
-# fresh processes (2-core Xeon VM, Python 3.11): the four took 6.9 against
-# 12.4 ms at 12, 23.2 against 22.1 ms at 24, 74.9 against 52.9 ms at 40, 117
-# against 84 ms at 48 and 540 against 320 ms at 70.  The fork wins from about
-# 24 up, so 48 is conservative: it forks only where the fork clearly pays.
-_SIBLING_TRUNC = 48
+# Each of L, LB, PB and QB solved in-process against forked, in ms, medians
+# of 21 alternating fresh processes (2-core Xeon VM, Python 3.11):
+#   order 24: L 5.2/5.7, LB 6.4/7.3, PB 6.5/6.1, QB 7.0/6.8
+#   order 28: L 4.9/5.4, LB 11.8/8.8, PB 8.5/6.9, QB 7.8/7.1
+#   order 32: L 6.8/7.1, LB 10.1/8.4, PB 6.8/6.5, QB 9.1/8.6
+#   order 40: L 10.5/10.2, LB 18.7/14.0, PB 13.1/9.3, QB 17.0/13.1
+# 40 is the least order measured at which the fork wins for all four; below
+# it L, the cheapest solve, lost or tied here and in two runs of 9 and 15.
+_SIBLING_TRUNC = 40
 
 
 def _beside(rows: Iterator, product, fork: bool, sent=None) -> tuple[list, list[list[int]]]:

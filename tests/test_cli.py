@@ -2,7 +2,9 @@ import argparse
 import hashlib
 import inspect
 import json
+import os
 import shlex
+import subprocess
 import sys
 from collections import Counter
 from functools import partial
@@ -17,7 +19,7 @@ from linlam.crosscheck import (
     ReferenceSequences,
     run_crosscheck,
 )
-from test_series import CSV_SHA256_AT_40
+from test_series import CSV_SHA256_AT_40, ROOT
 
 # sha256 of the crosscheck's stdout at --max-n 3, recorded before the rows
 # became one list
@@ -214,6 +216,9 @@ class TestSeriesTable:
                 pieces.append(text)
                 return len(text)
 
+            def flush(self):
+                pass
+
         monkeypatch.setattr(sys, "stdout", Spy())
         assert cli.main(["series-table", "--family", "QB", "--max-n", "2"]) == 0
         assert "".join(pieces).splitlines()[-1] == "QB,2,3,2"
@@ -291,6 +296,32 @@ class TestMapsCensus:
         _, out = run(capsys, "maps-census", "--edges", "2", "--variant", "planar")
         total = sum(int(line.split(",")[2]) for line in out.strip().splitlines()[1:])
         assert total == 9
+
+
+class TestClosedStdout:
+    def test_a_reader_that_closes_early_ends_the_command_quietly(self):
+        # the five-edge listing is over 64 KB, more than a pipe holds, so a
+        # write meets the closed pipe
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        argv = [sys.executable, "-m", "linlam", "maps-census", "--edges", "5", "--list"]
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            status = proc.wait(timeout=120)
+        assert first.startswith(b"sigma=")
+        assert (stderr, status) == (b"", 141)
+
+    def test_a_broken_pipe_elsewhere_still_raises(self, monkeypatch):
+        # only a write to stdout counts as its reader closing it; a broken
+        # pipe to the series check's sibling is a failure
+        def broken(which, trunc=12):
+            raise BrokenPipeError("the series check's sibling went away")
+
+        monkeypatch.setattr(series, "solve", broken)
+        with pytest.raises(BrokenPipeError, match="sibling"):
+            cli.main(["series-table", "--family", "QB"])
 
 
 def usage_error(capsys, *argv):
@@ -455,6 +486,18 @@ class TestParserChoices:
         from_names = [v.value for v in names.Variant]
         assert option_choices("maps-census", "--variant") == from_names
         assert from_names == ["all", "planar", "trivalent"]
+
+
+def planting(extra, at_edges=None):
+    """maps.each_map, emitting extra after the all-genera census with at_edges, or every one."""
+    original = maps.each_map
+
+    def each_map(n_edges, emit, variant=maps.Variant.ALL_GENERA, cap_override=None):
+        original(n_edges, emit, variant, cap_override)
+        if variant is maps.Variant.ALL_GENERA and at_edges in (None, n_edges):
+            emit(extra)
+
+    return each_map
 
 
 class TestCrosscheck:
@@ -670,13 +713,13 @@ class TestCrosscheck:
 
     def test_each_map_census_generated_once(self, monkeypatch):
         calls = []
-        original = maps.census_maps
+        original = maps.each_map
 
-        def spy(n_edges, variant=maps.Variant.ALL_GENERA, cap_override=None):
+        def spy(n_edges, emit, variant=maps.Variant.ALL_GENERA, cap_override=None):
             calls.append((n_edges, variant))
-            return original(n_edges, variant, cap_override)
+            original(n_edges, emit, variant, cap_override)
 
-        monkeypatch.setattr(maps, "census_maps", spy)
+        monkeypatch.setattr(maps, "each_map", spy)
         assert run_crosscheck(3).ok
         assert len(calls) == len(set(calls))
         assert [n for n, v in calls if v is maps.Variant.ALL_GENERA] == [1, 2, 3]
@@ -688,9 +731,9 @@ class TestCrosscheck:
         genera = []
         sigmas, genus = maps._sigmas, maps.genus
 
-        def sigmas_spy(dart_count):
+        def sigmas_spy(dart_count, emit):
             dart_counts.append(dart_count)
-            return sigmas(dart_count)
+            sigmas(dart_count, emit)
 
         def genus_spy(m):
             genera.append(m)
@@ -763,13 +806,7 @@ class TestCrosscheck:
     def test_euler_parity_reports_genus_error(self, monkeypatch):
         # one dart fixed by both permutations: Euler defect 1
         invalid = maps.RootedMap((0,), (0,))
-        original = maps.census_maps
-
-        def with_invalid(n_edges, variant=maps.Variant.ALL_GENERA, cap_override=None):
-            reps = original(n_edges, variant, cap_override)
-            return reps + [invalid] if variant is maps.Variant.ALL_GENERA else reps
-
-        monkeypatch.setattr(maps, "census_maps", with_invalid)
+        monkeypatch.setattr(maps, "each_map", planting(invalid))
         report = run_crosscheck(2)
         row = next(c for c in report.checks if c.name == "maps:euler-parity")
         assert not row.ok
@@ -792,18 +829,24 @@ class TestCrosscheck:
     def test_distinct_codes_reports_a_code_error(self, monkeypatch):
         # two one-edge maps side by side: not transitive, so no code
         disconnected = maps.RootedMap((0, 1, 2, 3), (1, 0, 3, 2))
-        original = maps.census_maps
-
-        def with_disconnected(n_edges, variant=maps.Variant.ALL_GENERA, cap_override=None):
-            reps = original(n_edges, variant, cap_override)
-            return reps + [disconnected] if variant is maps.Variant.ALL_GENERA else reps
-
-        monkeypatch.setattr(maps, "census_maps", with_disconnected)
+        monkeypatch.setattr(maps, "each_map", planting(disconnected))
         report = run_crosscheck(2)
         row = next(c for c in report.checks if c.name == "maps:distinct-codes")
         assert not row.ok
         assert row.divergence == (f"map {disconnected.to_text()}: "
                                   "sigma and alpha must act transitively on the darts")
+
+    def test_distinct_codes_reports_an_isomorphic_pair(self, monkeypatch):
+        # a relabelled copy of a three-edge census map, after the census: the
+        # walk keeps only codes, so it walks three edges again to name both maps
+        copy = maps.conjugate(maps.census_maps(3)[7], (2, 3, 0, 1, 5, 4))
+        monkeypatch.setattr(maps, "each_map", planting(copy, at_edges=3))
+        report = run_crosscheck(3)
+        row = next(c for c in report.checks if c.name == "maps:distinct-codes")
+        assert row.divergence == (
+            "maps sigma=(0)(1 2 4 5)(3) alpha=(0 1)(2 3)(4 5) root=0 and "
+            "sigma=(0 5 4 3)(1)(2) alpha=(0 1)(2 3)(4 5) root=2 are isomorphic"
+        )
 
     def test_output_is_deterministic(self, capsys):
         _, first = run(capsys, "crosscheck", "--max-n", "2")
@@ -874,7 +917,8 @@ def test_crosscheck_exercises_every_operation(monkeypatch, capsys, tmp_path):
         (series, "_square_rows"), (series, "_pair_products"), (series.BiSeries, "d_dx"),
         (series.BiSeries, "discrete_d"), (series.BiSeries, "taylor_shift"),
         (series, "solve"),
-        (maps, "faces"), (maps, "genus"), (maps, "canonical_code"),
+        # genus counts faces in one walk; faces itself is covered in test_maps
+        (maps, "each_map"), (maps, "genus"), (maps, "canonical_code"),
         (maps, "census"),
     ]
     labels = {f"{owner.__name__}.{name}" for owner, name in operations}

@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from functools import cache
 from itertools import permutations
+from pathlib import Path
 from typing import Iterator
 
 import pytest
@@ -354,3 +358,49 @@ class TestGeneratedCensus:
             if variant is Variant.TRIVALENT:
                 assert all(len(c) == 3 for c in cycles(m.sigma))
         assert len({canonical_code(m) for m in reps}) == len(reps)
+
+
+# ---------------------------------------------------------------------------
+# Memory: the census streams its maps, so its peak does not grow with them
+
+# Runs the command line given as arguments, then writes the process's peak
+# resident set (VmHWM, in kB) to stderr.  VmHWM belongs to the address space
+# made at exec, so the test process's own peak does not count.
+PEAK = """
+import sys
+from linlam import cli
+status = cli.main(sys.argv[1:])
+with open("/proc/self/status", encoding="ascii") as status_file:
+    sys.stderr.write(next(line.split()[1] for line in status_file if line.startswith("VmHWM:")))
+sys.exit(status)
+"""
+
+def census_peak(n_edges: int) -> tuple[str, int]:
+    """The CSV that maps-census prints at n_edges, and the peak in kB of the process."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    argv = ["maps-census", "--edges", str(n_edges), "--cap-override", str(n_edges)]
+    done = subprocess.run([sys.executable, "-c", PEAK, *argv], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    return done.stdout, int(done.stderr)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="VmHWM is read from /proc/self/status")
+class TestFlatMemory:
+    def test_six_edges_peak_as_four(self):
+        # the 6-edge census has 110,410 maps: a census that listed them would
+        # peak about 24 MB above the 4-edge one
+        _, four = census_peak(4)
+        _, six = census_peak(6)
+        assert six - four <= 2048
+
+    @pytest.mark.slow
+    def test_seven_edges_reach_a000698(self):
+        out, seven = census_peak(7)
+        cells = [135135, 422232, 546476, 388136, 166110, 43400, 6476, 429]
+        assert out == "edges,vertices,count\n" + "".join(
+            f"7,{v},{c}\n" for v, c in enumerate(cells, start=1))
+        assert sum(cells) == 1708394  # A000698(8)
+        _, six = census_peak(6)
+        assert seven - six <= 2048

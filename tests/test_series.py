@@ -560,7 +560,8 @@ def test_what_crosses_the_pipe(monkeypatch, which):
     assert_no_child()
 
 
-@pytest.mark.parametrize("trunc", [0, 1, 2, 12, FORKED - 1, FORKED])
+# FORKED - 1 and FORKED straddle the fork's start; 47 and 48 lie inside the forked range
+@pytest.mark.parametrize("trunc", [0, 1, 2, 12, FORKED - 1, FORKED, 47, 48])
 @pytest.mark.parametrize("which", list(FamilyName))
 def test_in_process_product_gives_the_same_solution(monkeypatch, which, trunc):
     forked = solve(which, trunc)
