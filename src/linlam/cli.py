@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Iterable
 
 from .names import CLASS_FAMILIES, FAMILY_SERIES, Family, FamilyName, Variant
 
@@ -57,9 +58,10 @@ def _write_csv(header: str, rows) -> None:
     _write(header + "\n" + "".join(",".join(map(str, row)) + "\n" for row in rows))
 
 
-def _emit_sequence(values: list, as_json: bool) -> None:
+def _emit_sequence(values: Iterable, as_json: bool) -> None:
+    """One value per line, each written as it comes, or the whole list as JSON."""
     if as_json:
-        _write_json(values, indent=None)
+        _write_json(list(values), indent=None)
     else:
         for v in values:
             _write(f"{v}\n")
@@ -119,7 +121,7 @@ def cmd_list(args: argparse.Namespace) -> int:
         return 0
     from . import enumeration
     family = _TERM_FAMILIES[args.family]
-    _emit_sequence([show(t) for t in enumeration.enum_family(family, args.n, k)], args.json)
+    _emit_sequence(map(show, enumeration.enum_family(family, args.n, k)), args.json)
     return 0
 
 

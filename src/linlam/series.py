@@ -54,6 +54,11 @@ falls to back-substitution from the top degree down; for the exchange
 classes (QB/QR) it is the Taylor shift, so B(z,x) = x + z B(z,x) B(z,x+1).
 Every solution is re-checked, exactly, against its defining equations
 before being returned, and records each equation with the cells it compared.
+Each equation is checked one z-row at a time against the solver's own rows:
+row n of its right-hand side is formed from those rows and the product's row
+n, compared with row n of the solution, and dropped, and the closed column is
+compared with the row sums of b.  So the solve holds no second table, and a
+product with other than trunc + 1 rows fails its equation.
 
 The check's one expensive operation, its product (L L, or b r for a pair),
 runs beside the solver.  From order _SIBLING_TRUNC up, solve forks a
@@ -77,7 +82,7 @@ import os
 import sys
 from collections.abc import Iterable, Iterator
 from enum import Enum
-from itertools import accumulate, zip_longest
+from itertools import accumulate, chain, islice, zip_longest
 from math import gcd, lcm
 
 from .names import FamilyName
@@ -517,41 +522,67 @@ FIXPOINT = "QB = x + z QB QB(x+1)"
 CLOSED_SHIFT = "QR(x=0) = z QB(x=1)"
 
 
-def _cells(got: BiSeries, want: BiSeries, failure: str) -> int:
-    """How many cells of got (k <= n + 1, or a longer row's) equal want's; raise unless all."""
-    if got != want:
+def _add(*rows: list[int]) -> list[int]:
+    return _strip([sum(c) for c in zip_longest(*rows, fillvalue=0)])
+
+
+def _cells(got: list[list[int]], want: Iterable[list[int]], failure: str) -> int:
+    """How many cells of got (k <= n + 1, or a longer row's) equal want's; raise unless all.
+
+    want yields one row per row of got, and each pair of rows is compared in turn.
+    """
+    cells = 0
+    for n, (row, rhs) in enumerate(zip(got, want)):
+        if row != rhs:
+            raise ArithmeticError(failure)
+        cells += max(n + 2, len(row))
+    return cells
+
+
+def _exactly(product: list[list[int]], got: list[list[int]], failure: str) -> list[list[int]]:
+    """The check's product, which must have one row per row of got; raise failure otherwise."""
+    if len(product) != len(got):
         raise ArithmeticError(failure)
-    return sum(max(n + 2, len(row)) for n, row in enumerate(got.rows))
+    return product
 
 
-def _verify_linear(s: BiSeries, square: BiSeries) -> dict[str, int]:
-    rhs = BiSeries(Flavor.EGF, [[], [0, 1]], trunc=s.trunc).add(square).add(s.d_dx())
-    return {"L = zx + L^2 + dL/dx": _cells(s, rhs, "linear family solution fails its equation")}
+def _x_plus(product: list[list[int]], got: list[list[int]], failure: str) -> Iterator[list[int]]:
+    """Rows of x + product, for the product of a pair's neutral (or fixpoint) equation."""
+    return (_add([0, 1] if n == 0 else [], p) for n, p in enumerate(_exactly(product, got, failure)))
 
 
-def _verify_pair(b: BiSeries, r: BiSeries, product: BiSeries, egf: bool, pair) -> dict[str, int]:
+def _verify_linear(s: list[list[int]], square: list[list[int]]) -> dict[str, int]:
+    failure = "linear family solution fails its equation"
+    rhs = (_add([0, 1] if n == 1 else [], sq, row[1:])
+           for n, (sq, row) in enumerate(zip(_exactly(square, s, failure), s)))
+    return {"L = zx + L^2 + dL/dx": _cells(s, rhs, failure)}
+
+
+def _verify_pair(b: list[list[int]], r: list[list[int]], product: list[list[int]],
+                 pair) -> dict[str, int]:
     nb, nr = (name.value for name in pair)
-    neutral = BiSeries(b.flavor, [[0, 1]], trunc=b.trunc).add(product)
-    deriv, dr = (r.d_dx(), f"d{nr}/dx") if egf else (r.discrete_d(), f"({nr} - {nr}(x=0))/x")
-    normal = b.z_shift().add(deriv)
+    dr = f"d{nr}/dx" if pair[0] is FamilyName.LB else f"({nr} - {nr}(x=0))/x"
+    neutral = "neutral family solution fails its equation"
+    # z b + dr/dx, or z b + (r - r(x=0))/x: either derivative drops a row's x^0 term
+    normal = (_add(prev, row[1:]) for prev, row in zip(chain(([],), b), r))
     return {
-        f"{nb} = x + {nb} {nr}": _cells(b, neutral, "neutral family solution fails its equation"),
+        f"{nb} = x + {nb} {nr}": _cells(b, _x_plus(product, b, neutral), neutral),
         f"{nr} = z {nb} + {dr}": _cells(r, normal, "normal family solution fails its equation"),
     }
 
 
-def _verify_quotient(b: BiSeries, r: BiSeries, product: BiSeries) -> dict[str, int]:
-    shifted = b.taylor_shift()
-    fixpoint = BiSeries(Flavor.OGF, [[0, 1]], trunc=b.trunc).add(product)
+def _verify_quotient(b: list[list[int]], r: list[list[int]],
+                     product: list[list[int]]) -> dict[str, int]:
+    failure = "quotient solution fails its fixpoint equation"
+    shifted = chain(([],), map(_taylor_shift_row, islice(b, len(b) - 1)))
     checked = {
-        FIXPOINT: _cells(b, fixpoint, "quotient solution fails its fixpoint equation"),
-        "QR = z QB(x+1)": _cells(r, shifted.z_shift(), "quotient abstraction rule fails"),
+        FIXPOINT: _cells(b, _x_plus(product, b, failure), failure),
+        "QR = z QB(x+1)": _cells(r, shifted, "quotient abstraction rule fails"),
     }
     # closed normal classes match the shifted row sums of the neutral classes
-    closed = r.closed_sequence()
-    if closed != [sum(row) for row in b.rows[:-1]]:
+    if any(_at(row, 0) != sum(prev) for prev, row in zip(b, islice(r, 1, None))):
         raise ArithmeticError("closed quotient column disagrees with row sums")
-    return {**checked, CLOSED_SHIFT: len(closed)}
+    return {**checked, CLOSED_SHIFT: len(r) - 1}
 
 
 def solve(which: FamilyName | str, trunc: int = 12) -> FamilySolution:
@@ -559,10 +590,12 @@ def solve(which: FamilyName | str, trunc: int = 12) -> FamilySolution:
 
     All coefficients are exact integers.  A mutual pair is solved once for
     both of its families, which the solution's system carries.  The
-    solution is checked against its defining equations before returning; a
-    failure raises ArithmeticError.  The check's product (L L, or b r with r
-    formed from b alone) is computed beside the solver, in a sibling process
-    from order _SIBLING_TRUNC up if the platform can fork.
+    solution is checked against its defining equations before returning,
+    one z-row at a time against the solver's own rows, so the solve builds
+    no series but the ones it returns; a failure raises ArithmeticError.
+    The check's product (L L, or b r with r formed from b alone) is computed
+    beside the solver, in a sibling process from order _SIBLING_TRUNC up if
+    the platform can fork, and must have exactly trunc + 1 rows.
     The record, checked, maps each equation of the system to its cells
     compared: the (trunc + 1)(trunc + 4)/2 cells k <= n + 1 of a series, or
     the trunc of the closed column.
@@ -574,7 +607,7 @@ def solve(which: FamilyName | str, trunc: int = 12) -> FamilySolution:
     if which is FamilyName.L:
         rows, square = _beside(_rows_linear(trunc), _square_rows, fork)
         series = BiSeries(Flavor.EGF, rows, trunc=trunc)
-        checked = _verify_linear(series, BiSeries(Flavor.EGF, square, trunc=trunc))
+        checked = _verify_linear(series.rows, square)
         return FamilySolution(which, series, {which: series}, checked)
     pair = next(p for p in _PAIRS if which in p)
     quotient = pair[0] is FamilyName.QB
@@ -583,12 +616,12 @@ def solve(which: FamilyName | str, trunc: int = 12) -> FamilySolution:
     # the abstraction rule: r_n(x) = b_(n-1)(x + 1) for classes, else the
     # same-order derivative, back-substituted under the degree bound n
     abstract = (lambda row, n: _taylor_shift_row(row)) if quotient else _back_substitute
-    pairs, product_rows = _beside(
+    pairs, product = _beside(
         _rows_pair(trunc, egf, abstract), lambda bs: _pair_products(bs, egf, abstract, trunc),
         fork, sent=lambda pair: pair[0],
     )
     b, r = (BiSeries(flavor, rows, trunc=trunc) for rows in zip(*pairs))
-    product = BiSeries(flavor, product_rows, trunc=trunc)
-    checked = _verify_quotient(b, r, product) if quotient else _verify_pair(b, r, product, egf, pair)
+    checked = (_verify_quotient(b.rows, r.rows, product) if quotient
+               else _verify_pair(b.rows, r.rows, product, pair))
     system = dict(zip(pair, (b, r)))
     return FamilySolution(which, system[which], system, checked)

@@ -19,7 +19,8 @@ from linlam.crosscheck import (
     ReferenceSequences,
     run_crosscheck,
 )
-from test_series import CSV_SHA256_AT_40, ROOT
+from test_maps import PEAK
+from test_series import CSV_SHA256_AT_40, ROOT, a062980
 
 # sha256 of the crosscheck's stdout at --max-n 3, recorded before the rows
 # became one list
@@ -180,6 +181,34 @@ class TestList:
         assert out == ""
         _, out = run(capsys, "list", *argv, "--json")
         assert json.loads(out) == []
+
+
+def list_peak(n: int) -> tuple[int, int]:
+    """Lines that `list --family linear --closed --n n` prints, and the peak in kB of the process."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = ["list", "--family", "linear", "--closed", "--n", str(n)]
+    done = subprocess.run([sys.executable, "-c", PEAK, *argv], env=env,
+                          capture_output=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.count(b"\n"), int(done.stderr)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="VmHWM is read from /proc/self/status")
+class TestListMemory:
+    # list writes each term as the census yields it, and holds no listing
+    def test_size_five_peaks_as_four(self):
+        # 27,120 terms at size 5: a listing held whole peaked about 5 MB above size 4
+        lines_four, four = list_peak(4)
+        lines_five, five = list_peak(5)
+        assert (lines_four, lines_five) == tuple(a062980(5)[3:])
+        assert five - four <= 2048
+
+    @pytest.mark.slow
+    def test_size_six_reaches_a062980(self):
+        lines, six = list_peak(6)
+        assert lines == a062980(6)[-1] == 828250
+        assert six <= 60 * 1024
 
 
 class TestSeriesTable:
@@ -914,8 +943,9 @@ def test_crosscheck_exercises_every_operation(monkeypatch, capsys, tmp_path):
         (enumeration, "enum_cells"), (enumeration, "count_family"),
         (exchange, "local_exchanges"), (exchange, "canonicalize"),
         (exchange, "is_isomorphic"), (exchange, "count_classes"),
-        (series, "_square_rows"), (series, "_pair_products"), (series.BiSeries, "d_dx"),
-        (series.BiSeries, "discrete_d"), (series.BiSeries, "taylor_shift"),
+        # the equation checks compare rows, and the quotient check and solver both
+        # shift rows; the BiSeries table operations are covered in test_series
+        (series, "_square_rows"), (series, "_pair_products"), (series, "_taylor_shift_row"),
         (series, "solve"),
         # genus counts faces in one walk; faces itself is covered in test_maps
         (maps, "each_map"), (maps, "genus"), (maps, "canonical_code"),

@@ -514,6 +514,53 @@ class TestEquationChecksAreLiveInProcess(TestEquationChecksAreLive):
         monkeypatch.delattr(os, "fork")
 
 
+# the equation that reads the check's product, for each system
+PRODUCT_FAILURES = {
+    FamilyName.L: "linear family solution fails its equation",
+    FamilyName.LB: "neutral family solution fails its equation",
+    FamilyName.PB: "neutral family solution fails its equation",
+    FamilyName.QB: "quotient solution fails its fixpoint equation",
+}
+
+
+@pytest.mark.parametrize("trunc,fork", [(0, True), (12, True), (FORKED, True), (FORKED, False)],
+                         ids=["0", "12", "forked", "in-process"])
+@pytest.mark.parametrize("change", ["drop", "append"])
+@pytest.mark.parametrize("which", list(PRODUCT_FAILURES))
+def test_a_product_with_the_wrong_row_count_fails(monkeypatch, which, change, trunc, fork):
+    # the check reads exactly trunc + 1 product rows: it neither pads a short
+    # product nor drops a row past trunc, even the empty row a pad would add
+    def wrong(real):
+        def product(*args):
+            rows = list(real(*args))
+            return rows[:-1] if change == "drop" else [*rows, []]
+        return product
+
+    for name in ("_square_rows", "_pair_products"):
+        monkeypatch.setattr(series, name, wrong(getattr(series, name)))
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    with pytest.raises(ArithmeticError, match=PRODUCT_FAILURES[which]):
+        solve(which, trunc)
+    assert_no_child()
+
+
+@pytest.mark.parametrize("trunc", [12, FORKED])
+@pytest.mark.parametrize("which", list(FamilyName))
+def test_solve_builds_only_the_series_it_returns(monkeypatch, which, trunc):
+    # the checks compare rows: no table of x + product, z b + dr/dx or shifted b
+    built = []
+    real = BiSeries.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(BiSeries, "__init__", spy)
+    sol = solve(which, trunc)
+    assert len(built) == len(sol.system) == (1 if which is FamilyName.L else 2)
+
+
 # ---------------------------------------------------------------------------
 # The check's product, computed in a sibling process
 
