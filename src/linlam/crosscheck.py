@@ -5,11 +5,12 @@ indices, problem): what the row checks, which producers it sets against
 each other, the window it covers, and the first problem found there, or
 None.  Most rows compare two independently computed tables, or a table
 against an embedded reference prefix, as (where, got, want) triples, and
-one divergence finder reports the first got != want, or a window that
-compared nothing.  The embedded data also includes the thirty smallest
-closed normal terms and their grouping into exchange classes, which pins
-the parser, the printer, the classifier, and the canonicalizer against
-known ground truth.
+one divergence finder reports the first got != want.  One function,
+_verdict, decides every row's verdict from what the row compared and its
+first problem, so a row that compared nothing fails.  The embedded data
+also includes the thirty smallest closed normal terms and their grouping
+into exchange classes, which pins the parser, the printer, the
+classifier, and the canonicalizer against known ground truth.
 """
 
 from __future__ import annotations
@@ -128,15 +129,19 @@ SERIES_TRUNC = 12
 TRIVALENT_EDGE_CAP = maps.DEFAULT_EDGE_CAPS[Variant.TRIVALENT]
 
 
+def _verdict(compared: int, problem: str | None) -> str | None:
+    """A row's verdict: its first problem, else "compared nothing" if it compared nothing."""
+    return problem or (None if compared else "compared nothing")
+
+
 def _divergence(triples) -> str | None:
-    """The first (where, got, want) with got != want, or "compared nothing" if every value is 0."""
-    problem = "compared nothing"
+    """The verdict on (where, got, want) triples: their first got != want, and nonzero gots."""
+    compared = 0
     for where, got, want in triples:
         if got != want:
-            return f"first divergence at {where}: {got} != {want}"
-        if got:
-            problem = None
-    return problem
+            return _verdict(compared, f"first divergence at {where}: {got} != {want}")
+        compared += got != 0
+    return _verdict(compared, None)
 
 
 def _cells(left, right, max_n: int, first_n: int = 0) -> tuple[str, str | None]:
@@ -172,8 +177,6 @@ def _reference_terms_problem(embedded: list[list[Term]], top: int, ledger: Ledge
         if cls.normal_size not in parsed:
             return f"{text!r} classified as size {cls.normal_size}, not 1..{EMBEDDED_TOP}"
         parsed[cls.normal_size].add(t)
-    if top < 1:
-        return "compared nothing"
     for n in range(1, top + 1):
         enumerated = set(chain.from_iterable(ledger[(n, 0)]))
         if enumerated != parsed[n]:
@@ -208,8 +211,6 @@ def _class_construction_problem(top: int, ledgers: dict[Family, Ledger]) -> str 
     first occur in order; k! times as many leaders must exist in all, one
     per relabeling.
     """
-    if top < 1:
-        return "compared nothing"
     for family in enumeration.CLASS_FAMILIES:
         for n, k, cell in enumeration.class_cells(family, top):
             if n < 1:
@@ -291,8 +292,6 @@ def _walk_maps(
 
         maps.each_map(n, visit, Variant.ALL_GENERA, maps_cap)
         planar_totals.append(planar)
-    if not census.total():
-        parity_problem = repeat_problem = "compared nothing"
     return census, planar_totals, parity_problem, repeat_problem
 
 
@@ -325,11 +324,11 @@ def run_crosscheck(
     ledgers = {f: exchange.dedup_ledger(f, EMBEDDED_TOP) for f in enumeration.CLASS_FAMILIES}
     rows = [
         ("terms:embedded-list", "parser/classifier vs enumeration", f"sizes 1..{top}",
-         _reference_terms_problem(embedded, top, ledgers[Family.NORMAL])),
+         _verdict(top, _reference_terms_problem(embedded, top, ledgers[Family.NORMAL]))),
         ("classes:embedded-grouping", "canonicalize vs embedded classes", "sizes 1..3",
          _grouping_problem(embedded, ledgers[Family.NORMAL])),
         ("classes:construction-vs-dedup", "class grammar vs canonical dedup",
-         f"sizes 1..{top}", _class_construction_problem(top, ledgers)),
+         f"sizes 1..{top}", _verdict(top, _class_construction_problem(top, ledgers))),
     ]
 
     # one solve per equation system: L alone, and each mutual pair once
@@ -360,15 +359,16 @@ def run_crosscheck(
         ("classes-vs-series:normal-closed", by_classes,
          *_prefix(class_closed, solutions[FamilyName.QR].closed_sequence(enum_n))),
         ("series:quotient-route-agreement", "mutual pair vs fixpoint equation",
-         f"n<={trunc}", None if checked[series.FIXPOINT] else "compared nothing"),
+         f"n<={trunc}", _verdict(checked[series.FIXPOINT], None)),
         ("series:closed-quotient-shift", "closed normal classes vs shifted neutral row sums",
-         f"n=1..{trunc}", None if checked[series.CLOSED_SHIFT] else "compared nothing"),
+         f"n=1..{trunc}", _verdict(checked[series.CLOSED_SHIFT], None)),
     ]
 
     # map censuses, which start at one edge: triple agreement with the
     # quotient series and the classes, and planar maps against planar
     # closed terms, shifted by one size
     census, planar_totals, parity_problem, repeat_problem = _walk_maps(maps_n, maps_cap)
+    walked = census.total()
     planar_terms = [solutions[FamilyName.PR].coeff(n + MAP_SIZE_SHIFT, 0)
                     for n in range(1, maps_n + 1)]
     rows += [
@@ -376,9 +376,10 @@ def run_crosscheck(
          *_cells(solutions[FamilyName.QB].coeff, census.count, maps_n, first_n=1)),
         ("classes-vs-census:bivariate", "class grammar vs map census",
          *_cells(neutral_classes.count, census.count, min(maps_n, enum_n), first_n=1)),
-        ("maps:euler-parity", "faces/genus consistency", f"n<={maps_n}", parity_problem),
+        ("maps:euler-parity", "faces/genus consistency", f"n<={maps_n}",
+         _verdict(walked, parity_problem)),
         ("maps:distinct-codes", "census maps pairwise non-isomorphic", f"n<={maps_n}",
-         repeat_problem),
+         _verdict(walked, repeat_problem)),
         ("census:planar-vs-planar-terms", "planar census vs planar series",
          *_prefix(planar_totals, planar_terms)),
     ]

@@ -527,34 +527,30 @@ def _add(*rows: list[int]) -> list[int]:
 
 
 def _cells(got: list[list[int]], want: Iterable[list[int]], failure: str) -> int:
-    """How many cells of got (k <= n + 1, or a longer row's) equal want's; raise unless all.
+    """How many cells of got (k <= n + 1, or a longer row's) equal want's; raise failure unless all.
 
-    want yields one row per row of got, and each pair of rows is compared in turn.
+    An equation needs one right-hand-side row per solution row, or it fails.
     """
     cells = 0
-    for n, (row, rhs) in enumerate(zip(got, want)):
-        if row != rhs:
-            raise ArithmeticError(failure)
-        cells += max(n + 2, len(row))
+    try:
+        for n, (row, rhs) in enumerate(zip(got, want, strict=True)):
+            if row != rhs:
+                raise ArithmeticError(failure)
+            cells += max(n + 2, len(row))
+    except ValueError as err:  # one side ran out first
+        raise ArithmeticError(failure) from err
     return cells
 
 
-def _exactly(product: list[list[int]], got: list[list[int]], failure: str) -> list[list[int]]:
-    """The check's product, which must have one row per row of got; raise failure otherwise."""
-    if len(product) != len(got):
-        raise ArithmeticError(failure)
-    return product
-
-
-def _x_plus(product: list[list[int]], got: list[list[int]], failure: str) -> Iterator[list[int]]:
+def _x_plus(product: list[list[int]]) -> Iterator[list[int]]:
     """Rows of x + product, for the product of a pair's neutral (or fixpoint) equation."""
-    return (_add([0, 1] if n == 0 else [], p) for n, p in enumerate(_exactly(product, got, failure)))
+    return (_add([0, 1] if n == 0 else [], p) for n, p in enumerate(product))
 
 
 def _verify_linear(s: list[list[int]], square: list[list[int]]) -> dict[str, int]:
     failure = "linear family solution fails its equation"
     rhs = (_add([0, 1] if n == 1 else [], sq, row[1:])
-           for n, (sq, row) in enumerate(zip(_exactly(square, s, failure), s)))
+           for n, (sq, row) in enumerate(zip(square, s, strict=True)))
     return {"L = zx + L^2 + dL/dx": _cells(s, rhs, failure)}
 
 
@@ -566,7 +562,7 @@ def _verify_pair(b: list[list[int]], r: list[list[int]], product: list[list[int]
     # z b + dr/dx, or z b + (r - r(x=0))/x: either derivative drops a row's x^0 term
     normal = (_add(prev, row[1:]) for prev, row in zip(chain(([],), b), r))
     return {
-        f"{nb} = x + {nb} {nr}": _cells(b, _x_plus(product, b, neutral), neutral),
+        f"{nb} = x + {nb} {nr}": _cells(b, _x_plus(product), neutral),
         f"{nr} = z {nb} + {dr}": _cells(r, normal, "normal family solution fails its equation"),
     }
 
@@ -576,7 +572,7 @@ def _verify_quotient(b: list[list[int]], r: list[list[int]],
     failure = "quotient solution fails its fixpoint equation"
     shifted = chain(([],), map(_taylor_shift_row, islice(b, len(b) - 1)))
     checked = {
-        FIXPOINT: _cells(b, _x_plus(product, b, failure), failure),
+        FIXPOINT: _cells(b, _x_plus(product), failure),
         "QR = z QB(x+1)": _cells(r, shifted, "quotient abstraction rule fails"),
     }
     # closed normal classes match the shifted row sums of the neutral classes

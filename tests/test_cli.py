@@ -31,6 +31,20 @@ CROSSCHECK_SHA256_AT_3 = {
         "9bd4cd55779033b361c5686dcc4cd47bece24644d1d9b85a5377af6eada5be83",
 }
 
+# sha256 of the default crosscheck's stdout, and of --max-n 1's, the one
+# valid run that leaves a row out (no trivalent size is in range), recorded
+# before every row handed its compared count to one verdict
+CROSSCHECK_SHA256_DEFAULT_AND_AT_1 = {
+    ("crosscheck",):
+        "6cade13dcac29d0f1eb6f3273f154e92a3c79b380a9b5c7ee11d048c878605e3",
+    ("crosscheck", "--json"):
+        "b094a9b33f527fb5310f7d126f3eea970e1f741f8436e5864a4d897193ca64c6",
+    ("crosscheck", "--max-n", "1"):
+        "c4ac6b597c637bb28cbaf123b22805f9bff2c4d293dfea590a30d2d7e820851d",
+    ("crosscheck", "--max-n", "1", "--json"):
+        "5d620ec7ba0cae9660f8645e8f21050a78d34313681f4bde26727ad26d85a946",
+}
+
 # sha256 of stdout, with the exit status, of each command and output format
 # cli.py writes, recorded before the writers moved from the layers into cli.py
 FORMAT_SHA256 = {
@@ -576,6 +590,12 @@ class TestCrosscheck:
     def test_report_is_pinned(self, capsys, argv):
         _, out = run(capsys, *argv)
         assert hashlib.sha256(out.encode()).hexdigest() == CROSSCHECK_SHA256_AT_3[argv]
+
+    @pytest.mark.parametrize("argv", list(CROSSCHECK_SHA256_DEFAULT_AND_AT_1))
+    def test_default_and_smallest_reports_are_pinned(self, capsys, argv):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == CROSSCHECK_SHA256_DEFAULT_AND_AT_1[argv]
 
     def test_series_window_reaches_the_longest_prefix(self):
         # A000698: a(n) = (2n-1)!! - sum_{k=1}^{n-1} (2k-1)!! a(n-k), from n=1

@@ -138,6 +138,30 @@ class TestImportFootprint:
         unread = {name: home for name, home in defined.items() if name not in read}
         assert defined and unread == {}
 
+    def test_one_function_says_a_row_compared_nothing(self):
+        # every crosscheck row hands what it compared to one verdict, so the
+        # empty-window rule is spelled in one function, docstrings aside
+        tree = ast.parse((ROOT / "src" / "linlam" / "crosscheck.py").read_text(encoding="utf-8"))
+        docstrings = {
+            id(node.body[0]) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and ast.get_docstring(node) is not None
+        }
+        homes = []
+
+        def visit(node, home):
+            if id(node) in docstrings:
+                return
+            if isinstance(node, ast.FunctionDef):
+                home = node.name
+            if isinstance(node, ast.Constant) and "compared nothing" in str(node.value):
+                homes.append(home)
+            for child in ast.iter_child_nodes(node):
+                visit(child, home)
+
+        visit(tree, None)
+        assert len(set(homes)) == 1 and None not in homes, homes
+
 
 class TestLazyExports:
     def test_all_is_unchanged(self):

@@ -403,6 +403,34 @@ class TestPackedKernel:
             assert shifted.row(0) == stripped(comb_taylor_shift(row))
 
 
+def test_solved_tables_satisfy_their_equations_by_schoolbook():
+    # the solver, its equation checks and BiSeries.mul all run one kernel,
+    # so rebuild each right-hand side from the schoolbook oracles instead
+    def product_row(oracle, a, b, n):
+        acc = []
+        for i in range(n + 1):
+            acc = add(acc, oracle(a[i], b[n - i]))
+        return acc
+
+    def check(name, rows, rhs):
+        for n, row in enumerate(rows):
+            for k, (got, want) in enumerate(zip_longest(row, rhs(n), fillvalue=0)):
+                assert got == want, (name, n, k)
+
+    L = solve(FamilyName.L, 12).series.rows
+    check("L = zx + L^2 + dL/dx", L, lambda n: add(
+        add([0, 1] if n == 1 else [], product_row(schoolbook_egf, L, L, n)), L[n][1:]))
+    for pair, oracle in (((FamilyName.LB, FamilyName.LR), schoolbook_egf),
+                         ((FamilyName.PB, FamilyName.PR), schoolbook_ogf)):
+        b, r = (solve(pair[0], 12).system[name].rows for name in pair)
+        check(pair[0].value, b,
+              lambda n: add([0, 1] if n == 0 else [], product_row(oracle, b, r, n)))
+    qb = solve(FamilyName.QB, 20).series.rows
+    shifted = [comb_taylor_shift(row) for row in qb]
+    check("QB = x + z QB QB(x+1)", qb, lambda n: add(
+        [0, 1] if n == 0 else [], product_row(schoolbook_ogf, qb, shifted, n - 1) if n else []))
+
+
 # ---------------------------------------------------------------------------
 # The equation checks inside solve reject a wrong table
 
