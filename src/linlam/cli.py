@@ -232,7 +232,8 @@ _LEAST_MAX_N = {"count": 0, "series-table": 0, "crosscheck": 1}
 
 
 def _check_usage(args: argparse.Namespace) -> None:
-    """Raise ValueError for out-of-range sizes, map censuses, and negative or unused caps."""
+    """Raise ValueError for out-of-range sizes, map censuses, negative or unused caps,
+    and options that cannot go together."""
     least = _LEAST_MAX_N.get(args.command)
     if least is not None and args.max_n < least:
         raise ValueError(f"--max-n must be at least {least}")
@@ -242,6 +243,8 @@ def _check_usage(args: argparse.Namespace) -> None:
         raise ValueError("--n and --k must be non-negative")
     if args.command == "list" and args.closed and args.k:
         raise ValueError(f"--closed lists k = 0, not --k {args.k}")
+    if args.command == "maps-census" and args.list and args.json:
+        raise ValueError("--list prints one map per line, not --json")
     if args.command == "count" and args.labeled:
         if args.family not in _CLASS_FAMILIES:
             raise ValueError(f"--labeled counts class families only, not {args.family}")

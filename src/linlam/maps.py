@@ -136,17 +136,6 @@ class RootedMap:
         )
 
 
-def conjugate(m: RootedMap, relabel: Sequence[int]) -> RootedMap:
-    """Apply a dart relabeling d -> relabel[d] to both permutations and the root."""
-    n = len(m.sigma)
-    sigma = [0] * n
-    alpha = [0] * n
-    for d in range(n):
-        sigma[relabel[d]] = relabel[m.sigma[d]]
-        alpha[relabel[d]] = relabel[m.alpha[d]]
-    return RootedMap(tuple(sigma), tuple(alpha), relabel[m.root])
-
-
 def faces(m: RootedMap) -> Perm:
     """The face permutation: follow alpha inverse, then sigma inverse.
 

@@ -1,4 +1,4 @@
-"""Exact truncated bivariate power series and the family equation solvers.
+"""Exact truncated bivariate series and the family equation solvers.
 
 A series is stored as one integer polynomial in x per power of z.  Two
 flavors share the representation: under OGF the row ``c[n]`` is the literal
@@ -7,10 +7,13 @@ polynomial, under EGF the stored integer ``c[n][k]`` carries an implicit
 rationals ever appear).  Derivative in x is then an index shift in both
 flavors, and the EGF product is a binomial convolution.
 
+Every row the kernel takes is a count: its entries are non-negative, and
+forming a row with a negative entry raises ArithmeticError.
+
 Row products are Kronecker substitutions at four points, +X, -X, +1/X and
 -1/X (Harvey's KS4).  A coefficient of a sum of weighted products of rows
-a and b is at most B = sum weight min(len a, len b) 2^(bits a + bits b) in
-magnitude, and the kernel picks X = 2^(8q), for an even byte count q, with
+a and b is at most B = sum weight min(len a, len b) 2^(bits a + bits b),
+and the kernel picks X = 2^(8q), for an even byte count q, with
 B < X^4 / 4.  Each row a of length l is evaluated at +X and -X, and so is
 its reversal x^(l-1) a(1/x); an evaluation adds the row's four classes of
 coefficients mod 4, each packed in 4q-byte slots, so it is about a quarter
@@ -34,8 +37,8 @@ A row's kernel form keeps its four evaluations and the q they were packed
 for, and repacks only when a product asks for another X; q is even, so
 neighbouring rows share X and a solver packs each row about once per X.
 The evaluations live and die with the form: a solver's forms last for its
-solve, and each product of two series builds its own, as does the product
-of each equation check, in another process for a long series.
+solve, and the product of each equation check builds its own, in another
+process for a long series.
 
 An EGF row is first divided by i! term by term and put over its reduced
 common denominator D; the OGF product of two such rows is the EGF product
@@ -114,15 +117,14 @@ class _Form:
     X = 2**(8 * q), and the row and its reversal evaluated at +X and -X.
     """
 
-    __slots__ = ("nums", "den", "bits", "neg", "q", "evals")
+    __slots__ = ("nums", "den", "bits", "q", "evals")
 
     def __init__(self, nums: list[int], den: int) -> None:
+        if nums and min(nums) < 0:
+            raise ArithmeticError("the series kernel takes counts, not a negative entry")
         self.nums = nums
         self.den = den
-        self.bits = max(map(abs, nums), default=0).bit_length()  # every |nums[i]| < 2**bits
-        # packing both signs for every form slowed solve(F, 70): LB 141.6 -> 170.6, QB
-        # 112.4 -> 119.5, L 76.8 -> 91.7 ms (medians of 9 fresh processes, 2-core Xeon)
-        self.neg = bool(nums) and min(nums) < 0
+        self.bits = max(nums, default=0).bit_length()  # every nums[i] < 2**bits
         self.q = 0
         self.evals: tuple[int, ...] = ()
 
@@ -142,20 +144,13 @@ def _form(row: list[int], egf: bool) -> _Form:
 
 
 def _pack_form(f: _Form, q: int) -> None:
-    """Store f and its reversal evaluated at +X and -X, X = 2**(8 * q), for |nums[i]| < X**4."""
+    """Store f and its reversal evaluated at +X and -X, X = 2**(8 * q), for nums[i] < X**4."""
     width, shift = 4 * q, 8 * q
-    if f.neg:
-        pos = [max(c, 0).to_bytes(width, "little") for c in f.nums]
-        neg = [max(-c, 0).to_bytes(width, "little") for c in f.nums]
-    else:
-        pos, neg = [c.to_bytes(width, "little") for c in f.nums], []
+    slots = [c.to_bytes(width, "little") for c in f.nums]
     evals = []
-    for p, n in ((pos, neg), (pos[::-1], neg[::-1])):
+    for p in (slots, slots[::-1]):
         # the coefficients i = j mod 4, packed in 4q-byte slots, are a polynomial in X**4
         parts = [int.from_bytes(b"".join(p[j::4]), "little") for j in range(4)]
-        if n:
-            for j in range(4):
-                parts[j] -= int.from_bytes(b"".join(n[j::4]), "little")
         even = parts[0] + (parts[2] << 2 * shift)
         odd = (parts[1] << shift) + (parts[3] << 3 * shift)
         evals += [even + odd, even - odd]
@@ -273,19 +268,13 @@ def _back_substitute(known: list[int], kmax: int) -> list[int]:
 
 
 class BiSeries:
-    """Truncated series in z whose z^n coefficient is an integer polynomial in x."""
+    """Truncated series in z: rows[n], its z^n coefficient, is an x-polynomial, no trailing 0."""
 
     __slots__ = ("flavor", "rows")
 
-    def __init__(self, flavor: Flavor, rows, trunc: int | None = None):
-        cleaned = [_strip(list(r)) for r in rows]
-        if trunc is not None:
-            if len(cleaned) > trunc + 1:
-                cleaned = cleaned[: trunc + 1]
-            while len(cleaned) < trunc + 1:
-                cleaned.append([])
+    def __init__(self, flavor: Flavor, rows: list[list[int]]) -> None:
         self.flavor = flavor
-        self.rows = cleaned
+        self.rows = rows
 
     @property
     def trunc(self) -> int:
@@ -308,62 +297,6 @@ class BiSeries:
 
     def __repr__(self) -> str:
         return f"BiSeries({self.flavor.value}, {self.rows})"
-
-    def _like(self, rows) -> "BiSeries":
-        return BiSeries(self.flavor, rows, trunc=self.trunc)
-
-    def _require(self, flavor: Flavor, op: str) -> None:
-        if self.flavor is not flavor:
-            raise ValueError(f"{op} requires {flavor.value} flavor, got {self.flavor.value}")
-
-    def add(self, other: "BiSeries") -> "BiSeries":
-        if self.flavor is not other.flavor:
-            raise ValueError("flavor mismatch")
-        if self.trunc != other.trunc:
-            raise ValueError("truncation mismatch")
-        return self._like(
-            [
-                [x + y for x, y in zip_longest(a, b, fillvalue=0)]
-                for a, b in zip(self.rows, other.rows)
-            ]
-        )
-
-    __add__ = add
-
-    def mul(self, other: "BiSeries") -> "BiSeries":
-        """z-convolution, with the x-part multiplied according to the flavor."""
-        if self.flavor is not other.flavor:
-            raise ValueError("flavor mismatch")
-        if self.trunc != other.trunc:
-            raise ValueError("truncation mismatch")
-        egf = self.flavor is Flavor.EGF
-        left = [_form(row, egf) for row in self.rows]
-        right = [_form(row, egf) for row in other.rows]
-        return self._like(
-            _convolve([(1, left[i], right[n - i]) for i in range(n + 1)], egf)
-            for n in range(len(left))
-        )
-
-    __mul__ = mul
-
-    def d_dx(self) -> "BiSeries":
-        """Derivative in x of an EGF-in-x series: an index shift on each row."""
-        self._require(Flavor.EGF, "d_dx")
-        return self._like([row[1:] for row in self.rows])
-
-    def discrete_d(self) -> "BiSeries":
-        """(a(z,x) - a(z,0)) / x for an OGF-in-x series."""
-        self._require(Flavor.OGF, "discrete_d")
-        return self._like([row[1:] for row in self.rows])
-
-    def taylor_shift(self) -> "BiSeries":
-        """Substitute x + 1 for x, row by row (OGF-in-x only)."""
-        self._require(Flavor.OGF, "taylor_shift")
-        return self._like([_taylor_shift_row(row) for row in self.rows])
-
-    def z_shift(self) -> "BiSeries":
-        """Multiply by z, dropping overflow past the truncation."""
-        return self._like([[], *self.rows[:-1]])
 
     def closed_sequence(self, last: int | None = None) -> list[int]:
         last = self.trunc if last is None else last
@@ -459,7 +392,8 @@ def _beside(rows: Iterator, product, fork: bool, sent=None) -> tuple[list, list[
     Under fork the product runs in a forked sibling that sees only what is
     sent to it; otherwise, without os.fork, or with another thread running
     (a fork copies only the calling thread, and locks the others hold would
-    stay held in the copy), it runs here afterwards.
+    stay held in the copy), it runs here afterwards.  A sibling that ends
+    before it replies raises ChildProcessError, and is reaped on every path.
     """
     sent = sent or (lambda row: row)
     threads = sys.modules.get("threading")  # no module, no other Python thread
@@ -494,6 +428,9 @@ def _beside(rows: Iterator, product, fork: bool, sent=None) -> tuple[list, list[
         if reply is None:
             raise ChildProcessError("the series check's sibling process ended without its product")
         return solved, reply
+    except BrokenPipeError as err:  # the sibling closed its end of the rows
+        raise ChildProcessError(
+            "the series check's sibling process ended before the solver's last row") from err
     finally:
         os.waitpid(pid, 0)
 
@@ -602,7 +539,7 @@ def solve(which: FamilyName | str, trunc: int = 12) -> FamilySolution:
     fork = trunc >= _SIBLING_TRUNC
     if which is FamilyName.L:
         rows, square = _beside(_rows_linear(trunc), _square_rows, fork)
-        series = BiSeries(Flavor.EGF, rows, trunc=trunc)
+        series = BiSeries(Flavor.EGF, rows)
         checked = _verify_linear(series.rows, square)
         return FamilySolution(which, series, {which: series}, checked)
     pair = next(p for p in _PAIRS if which in p)
@@ -616,7 +553,7 @@ def solve(which: FamilyName | str, trunc: int = 12) -> FamilySolution:
         _rows_pair(trunc, egf, abstract), lambda bs: _pair_products(bs, egf, abstract, trunc),
         fork, sent=lambda pair: pair[0],
     )
-    b, r = (BiSeries(flavor, rows, trunc=trunc) for rows in zip(*pairs))
+    b, r = (BiSeries(flavor, list(rows)) for rows in zip(*pairs))
     checked = (_verify_quotient(b.rows, r.rows, product) if quotient
                else _verify_pair(b.rows, r.rows, product, pair))
     system = dict(zip(pair, (b, r)))

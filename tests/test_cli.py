@@ -19,6 +19,7 @@ from linlam.crosscheck import (
     ReferenceSequences,
     run_crosscheck,
 )
+from oracles import conjugate
 from test_maps import PEAK
 from test_series import CSV_SHA256_AT_40, ROOT, a062980
 
@@ -481,6 +482,11 @@ class TestUsageErrors:
         assert code == 2
         assert "--closed lists k = 0, not --k 1" in err
 
+    def test_map_list_with_json(self, capsys):
+        code, err = usage_error(capsys, "maps-census", "--edges", "2", "--list", "--json")
+        assert code == 2
+        assert "--list prints one map per line, not --json" in err
+
     def test_negative_series_table(self, capsys):
         code, err = usage_error(capsys, "series-table", "--family", "L", "--max-n", "-3")
         assert code == 2
@@ -888,7 +894,7 @@ class TestCrosscheck:
     def test_distinct_codes_reports_an_isomorphic_pair(self, monkeypatch):
         # a relabelled copy of a three-edge census map, after the census: the
         # walk keeps only codes, so it walks three edges again to name both maps
-        copy = maps.conjugate(maps.census_maps(3)[7], (2, 3, 0, 1, 5, 4))
+        copy = conjugate(maps.census_maps(3)[7], (2, 3, 0, 1, 5, 4))
         monkeypatch.setattr(maps, "each_map", planting(copy, at_edges=3))
         report = run_crosscheck(3)
         row = next(c for c in report.checks if c.name == "maps:distinct-codes")
@@ -964,7 +970,7 @@ def test_crosscheck_exercises_every_operation(monkeypatch, capsys, tmp_path):
         (exchange, "local_exchanges"), (exchange, "canonicalize"),
         (exchange, "is_isomorphic"), (exchange, "count_classes"),
         # the equation checks compare rows, and the quotient check and solver both
-        # shift rows; the BiSeries table operations are covered in test_series
+        # shift rows
         (series, "_square_rows"), (series, "_pair_products"), (series, "_taylor_shift_row"),
         (series, "solve"),
         # genus counts faces in one walk; faces itself is covered in test_maps

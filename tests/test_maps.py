@@ -18,13 +18,13 @@ from linlam.maps import (
     canonical_code,
     census,
     census_maps,
-    conjugate,
     cycle_count,
     cycles,
     faces,
     genus,
     standard_alpha,
 )
+from oracles import conjugate
 
 # OEIS A000698 shifted: rooted maps of every genus with 1..6 edges
 ALL_GENERA_TOTALS = [2, 10, 74, 706, 8162, 110410]
