@@ -21,7 +21,7 @@ _EXPORTS = {
         "is_isomorphic",
         "local_exchanges",
     ),
-    "maps": ("RootedMap", "canonical_code", "census", "faces", "genus"),
+    "maps": ("RootedMap", "canonical_code", "census", "genus"),
     "names": ("Family", "FamilyName", "Variant"),
     "series": ("BiSeries", "FamilySolution", "Flavor", "solve"),
     "terms": (
@@ -36,7 +36,6 @@ _EXPORTS = {
         "check_linear",
         "classify",
         "default_context",
-        "from_ascii",
         "parse",
         "render",
         "to_ascii",

@@ -26,23 +26,17 @@ from .terms import FVar, Term
 
 
 class ReferenceSequences:
-    """Closed-term count prefixes, starting at size 1, and a fixed table of OEIS labels."""
+    """Closed-term count prefixes, starting at size 1."""
 
     __slots__ = ("linear_closed", "normal_closed", "planar_normal_closed",
                  "quotient_closed")
 
-    oeis = {
-        "linear_closed": "A062980",
-        "planar_normal_closed": "A000168",
-        "quotient_closed": "A000698",
-    }
-
     def __init__(
         self,
-        linear_closed: tuple[int, ...] = (1, 5, 60, 1105, 27120, 828250),
+        linear_closed: tuple[int, ...] = (1, 5, 60, 1105, 27120, 828250),  # A062980
         normal_closed: tuple[int, ...] = (1, 3, 26, 367, 7142, 176766),
-        planar_normal_closed: tuple[int, ...] = (1, 2, 9, 54, 378, 2916),
-        quotient_closed: tuple[int, ...] = (1, 2, 10, 74, 706, 8162),
+        planar_normal_closed: tuple[int, ...] = (1, 2, 9, 54, 378, 2916),  # A000168
+        quotient_closed: tuple[int, ...] = (1, 2, 10, 74, 706, 8162),  # A000698
     ) -> None:
         self.linear_closed = linear_closed
         self.normal_closed = normal_closed

@@ -105,14 +105,6 @@ class RootedMap:
         return f"RootedMap(sigma={self.sigma!r}, alpha={self.alpha!r}, root={self.root!r})"
 
     @property
-    def dart_count(self) -> int:
-        return len(self.sigma)
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.sigma) // 2
-
-    @property
     def n_vertices(self) -> int:
         if self._vertices is None:
             self._vertices = cycle_count(self.sigma)
@@ -136,23 +128,12 @@ class RootedMap:
         )
 
 
-def faces(m: RootedMap) -> Perm:
-    """The face permutation: follow alpha inverse, then sigma inverse.
-
-    Dart alpha(sigma(d)) goes back to d, so one pass fills it in.
-    """
-    sigma, alpha = m.sigma, m.alpha
-    phi = [0] * len(sigma)
-    for d in range(len(sigma)):
-        phi[alpha[sigma[d]]] = d
-    return tuple(phi)
-
-
 def genus(m: RootedMap) -> int:
     """Genus from Euler's formula c(sigma) - c(alpha) + c(faces) = 2 - 2g.
 
-    The faces are the cycles of d -> alpha(sigma(d)), the inverse of the
-    face permutation, counted in one walk without building it.
+    The faces are the cycles of d -> alpha(sigma(d)), counted in one walk.
+    That map is the inverse of the face permutation, which follows alpha
+    inverse, then sigma inverse, and has the same cycles.
     """
     sigma, alpha = m.sigma, m.alpha
     seen = [False] * len(sigma)

@@ -285,9 +285,6 @@ class BiSeries:
             return 0
         return _at(self.rows[n], k)
 
-    def row(self, n: int) -> list[int]:
-        return list(self.rows[n]) if 0 <= n <= self.trunc else []
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, BiSeries)

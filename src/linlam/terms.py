@@ -132,12 +132,6 @@ class Classification:
             raise ValueError("normal_size is undefined for a non-normal term")
         return self.occurrences
 
-    @property
-    def neutral_size(self) -> int:
-        if self.kind is not Kind.NEUTRAL:
-            raise ValueError("neutral_size is undefined for a non-neutral term")
-        return self.occurrences - 1
-
 
 def _walk(t: Term) -> tuple[Kind, int, dict[int, int]] | None:
     """Scan a term once: its kind, its occurrence count, each free position's count.
@@ -361,32 +355,3 @@ def to_ascii(t: Term) -> str:
 
     walk(t)
     return " ".join(out)
-
-
-def from_ascii(text: str) -> Term:
-    """Inverse of :func:`to_ascii`, accepting only the tokens it writes."""
-    tokens = text.split()
-    pos = 0
-
-    def read() -> Term:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ValueError("truncated term serialization")
-        tok = tokens[pos]
-        pos += 1
-        if tok == "L":
-            return Lam(read())
-        if tok == "A":
-            fun = read()
-            return App(fun, read())
-        if tok[0] in "VF" and tok[1:].isdecimal() and str(int(tok[1:])) == tok[1:]:
-            return (Var if tok[0] == "V" else FVar)(int(tok[1:]))
-        raise ValueError(f"bad token {tok!r} in term serialization")
-
-    try:
-        term = read()
-    except RecursionError:
-        raise ValueError("term serialization nested too deeply") from None
-    if pos != len(tokens):
-        raise ValueError("trailing tokens in term serialization")
-    return term

@@ -3,8 +3,9 @@
 The series solvers, their equation checks and the checks' products all run
 one packed kernel, so a fault in it can pass every check inside solve.  The
 equations are restated here with schoolbook row products instead, one
-right-hand-side row per solution row.  The package never relabels a map, so
-the relabeling the map tests need lives here too.
+right-hand-side row per solution row.  The package never relabels a map,
+builds a face permutation or reads a serialized term back, so the
+relabeling, the faces and the reader the tests need live here too.
 """
 
 from collections.abc import Sequence
@@ -12,6 +13,7 @@ from itertools import zip_longest
 from math import comb
 
 from linlam.maps import RootedMap
+from linlam.terms import App, FVar, Lam, Term, Var
 
 
 def conjugate(m: RootedMap, relabel: Sequence[int]) -> RootedMap:
@@ -23,6 +25,29 @@ def conjugate(m: RootedMap, relabel: Sequence[int]) -> RootedMap:
         sigma[relabel[d]] = relabel[m.sigma[d]]
         alpha[relabel[d]] = relabel[m.alpha[d]]
     return RootedMap(tuple(sigma), tuple(alpha), relabel[m.root])
+
+
+def face_permutation(m: RootedMap) -> tuple[int, ...]:
+    """The faces of a map: alpha inverse, then sigma inverse."""
+    return tuple(m.sigma.index(m.alpha.index(d)) for d in range(len(m.sigma)))
+
+
+def read_ascii(text: str) -> Term:
+    """Read back the prefix serialization to_ascii writes: L, A, V<i>, F<j>."""
+    tokens = iter(text.split())
+
+    def read() -> Term:
+        tok = next(tokens)
+        if tok == "L":
+            return Lam(read())
+        if tok == "A":
+            fun = read()
+            return App(fun, read())
+        return (Var if tok[0] == "V" else FVar)(int(tok[1:]))
+
+    term = read()
+    assert next(tokens, None) is None, "trailing tokens"
+    return term
 
 
 # ---------------------------------------------------------------------------

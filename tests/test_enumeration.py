@@ -199,7 +199,7 @@ def test_yielded_terms_are_valid_and_distinct(family):
                 want = EXPECTED_KIND[family]
                 if want is not None:
                     assert cls.kind is want
-                    assert cls.neutral_size == n
+                    assert cls.occurrences == n + 1
                 elif family is not Family.LINEAR:
                     assert cls.is_normal
                     assert cls.normal_size == n
@@ -249,7 +249,7 @@ def test_stripping_outer_binders_of_closed_normals_gives_neutrals():
             block, body = strip(t)
             cls = classify(body)
             assert cls.kind is Kind.NEUTRAL
-            assert cls.neutral_size == n - 1
+            assert cls.occurrences == n
             by_k[block] = by_k.get(block, 0) + 1
         if n <= 4:
             for k, c in by_k.items():

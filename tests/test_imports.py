@@ -138,6 +138,62 @@ class TestImportFootprint:
         unread = {name: home for name, home in defined.items() if name not in read}
         assert defined and unread == {}
 
+    # public names that nothing in the package or perfbench reads, each with its reason
+    UNREAD_PUBLIC = {
+        "RootedMap.validate": "checks a map built outside the census; the census "
+                              "builds only valid maps, and a bijection row will call it",
+    }
+
+    def test_every_public_name_is_read(self):
+        # every public function, class, constant and class member defined in
+        # the package is read outside its own definition, by the package or by
+        # perfbench, whose traced.py names the functions it wraps in strings
+        defined, reads = {}, {}
+
+        def define(body, owner, path):
+            for node in body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                    if names == ["__slots__"]:
+                        names = [c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)]
+                else:
+                    continue
+                for name in names:
+                    if not name.startswith("_"):
+                        defined[owner + name] = (path, node.lineno, node.end_lineno)
+                if isinstance(node, ast.ClassDef):
+                    define(node.body, f"{node.name}.", path)
+
+        package = sorted((ROOT / "src" / "linlam").glob("*.py"))
+        for path in package + sorted((ROOT / "perfbench").glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            if path in package:
+                define(tree.body, "", path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    names = [node.attr]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [alias.name for alias in node.names]
+                elif (path not in package and isinstance(node, ast.Constant)
+                      and isinstance(node.value, str)):
+                    names = [node.value]
+                else:
+                    continue
+                for name in names:
+                    reads.setdefault(name, []).append((path, node.lineno))
+        unread = {
+            name for name, (home, first, last) in defined.items()
+            if all(where == home and first <= line <= last
+                   for where, line in reads.get(name.rpartition(".")[2], []))
+        }
+        assert len(defined) > 100 and unread == set(self.UNREAD_PUBLIC), sorted(
+            unread ^ set(self.UNREAD_PUBLIC))
+
     def test_one_function_says_a_row_compared_nothing(self):
         # every crosscheck row hands what it compared to one verdict, so the
         # empty-window rule is spelled in one function, docstrings aside
@@ -169,8 +225,8 @@ class TestLazyExports:
             "App BiSeries ClassCounts Classification CountTable FVar Family FamilyName"
             " FamilySolution Flavor Kind Lam ParseError RootedMap Term Var Variant"
             " canonical_code canonicalize census check_linear class_cells class_groups"
-            " classify count_classes count_family default_context enum_family faces"
-            " from_ascii genus is_isomorphic local_exchanges parse render solve to_ascii"
+            " classify count_classes count_family default_context enum_family genus"
+            " is_isomorphic local_exchanges parse render solve to_ascii"
             .split()
         )
 

@@ -59,7 +59,7 @@ class TestRowOracles:
     def test_low_order_rows(self, which, rows):
         sol = solve(which, 5)
         for n, row in enumerate(rows):
-            assert sol.series.row(n) == row, (which, n)
+            assert sol.series.rows[n] == row, (which, n)
 
     @pytest.mark.parametrize("which,want", sorted(CLOSED_PREFIXES.items(), key=str))
     def test_closed_prefixes(self, which, want):
@@ -112,10 +112,10 @@ class TestQuotientStructure:
         qb = solve(FamilyName.QB, 8).series
         qr = solve(FamilyName.QR, 8).series
         for n in range(1, 9):
-            assert qr.coeff(n, 0) == sum(qb.row(n - 1))
+            assert qr.coeff(n, 0) == sum(qb.rows[n - 1])
 
     def test_quotient_z2_row(self):
-        assert solve(FamilyName.QB, 2).series.row(2) == [0, 3, 5, 2]
+        assert solve(FamilyName.QB, 2).series.rows[2] == [0, 3, 5, 2]
 
 
 class TestInvariants:
@@ -123,7 +123,7 @@ class TestInvariants:
     def test_triangular_and_non_negative(self, which):
         s = solve(which, 8).series
         for n in range(9):
-            row = s.row(n)
+            row = s.rows[n]
             assert len(row) <= n + 2
             assert all(c >= 0 for c in row)
 
@@ -139,7 +139,7 @@ class TestInvariants:
         # therefore sees EGF forms with denominator 1
         s = solve(which, 40).series
         for n in range(41):
-            row = s.row(n)
+            row = s.rows[n]
             assert all(c % factorial(k) == 0 for k, c in enumerate(row)), n
             assert series._form(row, True).den == 1
 
