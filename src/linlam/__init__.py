@@ -12,7 +12,7 @@ read, so importing the package loads no layer until one is used.
 from importlib import import_module
 
 _EXPORTS = {
-    "enumeration": ("CountTable", "class_cells", "count_family", "enum_family"),
+    "enumeration": ("class_cells", "count_family", "enum_family"),
     "exchange": (
         "ClassCounts",
         "canonicalize",
@@ -22,8 +22,8 @@ _EXPORTS = {
         "local_exchanges",
     ),
     "maps": ("RootedMap", "canonical_code", "census", "genus"),
-    "names": ("Family", "FamilyName", "Variant"),
-    "series": ("BiSeries", "FamilySolution", "Flavor", "solve"),
+    "names": ("CountTable", "Family", "FamilyName", "Variant"),
+    "series": ("FamilySolution", "Flavor", "solve"),
     "terms": (
         "App",
         "Classification",

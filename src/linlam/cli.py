@@ -30,7 +30,7 @@ import os
 import sys
 from collections.abc import Iterable
 
-from .names import CLASS_FAMILIES, FAMILY_SERIES, Family, FamilyName, Variant
+from .names import CLASS_FAMILIES, FAMILY_SERIES, CountTable, Family, FamilyName, Variant
 
 _TERM_FAMILIES = {f.value: f for f in Family}
 _CLASS_FAMILIES = {f"classes-{f.value}": f for f in CLASS_FAMILIES}
@@ -67,18 +67,14 @@ def _emit_sequence(values: Iterable, as_json: bool) -> None:
             _write(f"{v}\n")
 
 
-def _count_table(args: argparse.Namespace):
-    from . import enumeration
+def _count_table(args: argparse.Namespace) -> CountTable:
     name = args.family
     if args.producer == "series":
         from . import series
-        which = FAMILY_SERIES[name]
-        rows = series.solve(which, args.max_n).series.rows
-        entries = {(n, k): c for n, row in enumerate(rows) for k, c in enumerate(row) if c}
-        return enumeration.CountTable(args.max_n, entries, f"series:{which.value}")
+        return series.solve(FAMILY_SERIES[name], args.max_n).series
     if args.producer == "maps":
         from . import maps
-        table = enumeration.CountTable(max_n=args.max_n, provenance="maps:all-genera")
+        table = CountTable(max_n=args.max_n, provenance="maps:all-genera")
         for n in range(1, args.max_n + 1):
             table.entries.update(
                 maps.census(n, Variant.ALL_GENERA, cap_override=args.cap_override).entries
@@ -88,6 +84,7 @@ def _count_table(args: argparse.Namespace):
         from . import exchange
         counts = exchange.count_classes(_CLASS_FAMILIES[name], args.max_n)
         return counts.labeled if args.labeled else counts.unlabeled
+    from . import enumeration
     return enumeration.count_family(_TERM_FAMILIES[name], args.max_n)
 
 
@@ -151,12 +148,11 @@ def cmd_series_table(args: argparse.Namespace) -> int:
     if args.closed:
         _emit_sequence(s.closed_sequence(), args.json)
     elif args.json:
-        _write_json({"family": name, "flavor": s.flavor.value, "trunc": s.trunc, "rows": s.rows})
+        _write_json({"family": name, "flavor": sol.flavor.value, "trunc": s.max_n, "rows": s.rows})
     else:  # the cells k <= n + 1, one z-row n per write
         _write("family,n,k,coeff\n")
-        for n, row in enumerate(s.rows):
-            cells = (row + [0] * (n + 2))[: n + 2]
-            _write("".join(f"{name},{n},{k},{c}\n" for k, c in enumerate(cells)))
+        for n in range(s.max_n + 1):
+            _write("".join(f"{name},{n},{k},{c}\n" for k, c in enumerate(s.row(n))))
     return 0
 
 

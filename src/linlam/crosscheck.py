@@ -20,8 +20,7 @@ from itertools import chain
 from math import factorial
 
 from . import enumeration, exchange, maps, series, terms
-from .enumeration import CountTable
-from .names import FAMILY_SERIES, Family, FamilyName, Variant
+from .names import FAMILY_SERIES, CountTable, Family, FamilyName, Variant
 from .terms import FVar, Term
 
 
@@ -139,9 +138,9 @@ def _divergence(triples) -> str | None:
 
 
 def _cells(left, right, max_n: int, first_n: int = 0) -> tuple[str, str | None]:
-    """Two (n, k) -> count views over the triangular window from first_n."""
+    """Two tables over the triangular window from first_n."""
     return f"n<={max_n}", _divergence(
-        (f"(n={n}, k={k})", left(n, k), right(n, k))
+        (f"(n={n}, k={k})", left.count(n, k), right.count(n, k))
         for n in range(first_n, max_n + 1)
         for k in range(n + 2)
     )
@@ -339,9 +338,8 @@ def run_crosscheck(
     enum_tables: dict[Family, CountTable] = {}
     for family in Family:
         table = enum_tables[family] = enumeration.count_family(family, enum_n)
-        series_coeff = solutions[FAMILY_SERIES[family.value]].coeff
         rows.append((f"enum-vs-series:{family.value}", "enumeration vs series",
-                     *_cells(table.count, series_coeff, enum_n)))
+                     *_cells(table, solutions[FAMILY_SERIES[family.value]], enum_n)))
 
     # exchange classes against the quotient series, both families; solve
     # checked the fixpoint equation B(z,x) = x + z B(z,x) B(z,x+1) and the
@@ -349,7 +347,7 @@ def run_crosscheck(
     by_classes = "class grammar vs quotient series"
     rows += [
         ("classes-vs-series:neutral", by_classes,
-         *_cells(neutral_classes.count, solutions[FamilyName.QB].coeff, enum_n)),
+         *_cells(neutral_classes, solutions[FamilyName.QB], enum_n)),
         ("classes-vs-series:normal-closed", by_classes,
          *_prefix(class_closed, solutions[FamilyName.QR].closed_sequence(enum_n))),
         ("series:quotient-route-agreement", "mutual pair vs fixpoint equation",
@@ -363,13 +361,13 @@ def run_crosscheck(
     # closed terms, shifted by one size
     census, planar_totals, parity_problem, repeat_problem = _walk_maps(maps_n, maps_cap)
     walked = census.total()
-    planar_terms = [solutions[FamilyName.PR].coeff(n + MAP_SIZE_SHIFT, 0)
+    planar_terms = [solutions[FamilyName.PR].count(n + MAP_SIZE_SHIFT, 0)
                     for n in range(1, maps_n + 1)]
     rows += [
         ("series-vs-census:bivariate", "quotient series vs map census",
-         *_cells(solutions[FamilyName.QB].coeff, census.count, maps_n, first_n=1)),
+         *_cells(solutions[FamilyName.QB], census, maps_n, first_n=1)),
         ("classes-vs-census:bivariate", "class grammar vs map census",
-         *_cells(neutral_classes.count, census.count, min(maps_n, enum_n), first_n=1)),
+         *_cells(neutral_classes, census, min(maps_n, enum_n), first_n=1)),
         ("maps:euler-parity", "faces/genus consistency", f"n<={maps_n}",
          _verdict(walked, parity_problem)),
         ("maps:distinct-codes", "census maps pairwise non-isomorphic", f"n<={maps_n}",
@@ -382,7 +380,7 @@ def run_crosscheck(
     sizes = [m for m in range(2, max_n + 1) if 3 * (m - MAP_SIZE_SHIFT) <= TRIVALENT_EDGE_CAP]
     if sizes:
         got = [maps.census(3 * (m - MAP_SIZE_SHIFT), Variant.TRIVALENT).total() for m in sizes]
-        want = [solutions[FamilyName.L].coeff(m, 0) for m in sizes]
+        want = [solutions[FamilyName.L].count(m, 0) for m in sizes]
         rows.append(("census:trivalent-vs-linear-terms", "trivalent census vs linear series",
                      *_prefix(got, want, first_n=sizes[0])))
 

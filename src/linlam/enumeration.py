@@ -66,7 +66,7 @@ from functools import cache, partial
 from itertools import chain, count, product, starmap
 from typing import Callable, Iterable, Iterator
 
-from .names import CLASS_FAMILIES, Family
+from .names import CLASS_FAMILIES, CountTable, Family
 from .terms import App, FVar, Lam, Term, Var
 
 
@@ -140,7 +140,7 @@ class _Census:
     def apps(funs: tuple, args: tuple) -> Iterator[App]:
         return starmap(App, product(funs, args))
 
-    lams = partial(map, Lam)
+    lams = staticmethod(partial(map, Lam))
 
     def cell(self, n: int, k: int) -> Iterator:
         # free position j is the atom -1 - j
@@ -305,39 +305,6 @@ def class_cells(family: Family, max_n: int) -> Iterator[tuple[int, int, Iterator
     the same shared sub-results.
     """
     return _cells(_Census(*_class_grammar(family)), max_n)
-
-
-# ---------------------------------------------------------------------------
-# Count tables
-
-
-class CountTable:
-    """Census of a two-index family: (n, k) -> exact count.
-
-    Tables are triangular (zero whenever k > n + 1) and remember which
-    producer filled them.
-    """
-
-    __slots__ = ("max_n", "entries", "provenance")
-
-    def __init__(self, max_n: int, entries: dict[tuple[int, int], int] | None = None,
-                 provenance: str = "") -> None:
-        self.max_n = max_n
-        self.entries = {} if entries is None else entries
-        self.provenance = provenance
-
-    def count(self, n: int, k: int) -> int:
-        return self.entries.get((n, k), 0)
-
-    def total(self) -> int:
-        return sum(self.entries.values())
-
-    def row(self, n: int) -> list[int]:
-        return [self.count(n, k) for k in range(n + 2)]
-
-    def closed_sequence(self, last: int | None = None) -> list[int]:
-        last = self.max_n if last is None else last
-        return [self.count(n, 0) for n in range(1, last + 1)]
 
 
 def _count_cells(census: _Counting, max_n: int, provenance: str) -> CountTable:

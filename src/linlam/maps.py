@@ -25,8 +25,7 @@ from __future__ import annotations
 from itertools import count
 from typing import Callable, Sequence
 
-from .enumeration import CountTable
-from .names import Variant
+from .names import CountTable, Variant
 
 Perm = tuple[int, ...]
 

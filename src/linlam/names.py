@@ -1,7 +1,8 @@
-"""The names the command line chooses from: families, series and map variants.
+"""The names the command line chooses from, and the one table every producer fills.
 
 This module imports nothing from the package, so the parser can offer its
-choices without loading a layer.  enumeration, series, maps and crosscheck
+choices without loading a layer, and every layer can return a CountTable
+without loading another.  enumeration, series, maps and crosscheck
 re-export these same objects.
 """
 
@@ -46,3 +47,41 @@ FAMILY_SERIES = {
     "classes-neutral": FamilyName.QB,
     "classes-normal": FamilyName.QR,
 }
+
+
+class CountTable:
+    """Census of a two-index family: (n, k) -> exact count.
+
+    Tables are triangular (zero whenever k > n + 1) and remember which
+    producer filled them.
+    """
+
+    __slots__ = ("max_n", "entries", "provenance")
+
+    def __init__(self, max_n: int, entries: dict[tuple[int, int], int] | None = None,
+                 provenance: str = "") -> None:
+        self.max_n = max_n
+        self.entries = {} if entries is None else entries
+        self.provenance = provenance
+
+    def count(self, n: int, k: int) -> int:
+        return self.entries.get((n, k), 0)
+
+    def total(self) -> int:
+        return sum(self.entries.values())
+
+    def row(self, n: int) -> list[int]:
+        return [self.count(n, k) for k in range(n + 2)]
+
+    @property
+    def rows(self) -> list[list[int]]:
+        """Each row n <= max_n, up to its last nonzero cell."""
+        rows = [self.row(n) for n in range(self.max_n + 1)]
+        for row in rows:
+            while row and not row[-1]:
+                row.pop()
+        return rows
+
+    def closed_sequence(self, last: int | None = None) -> list[int]:
+        last = self.max_n if last is None else last
+        return [self.count(n, 0) for n in range(1, last + 1)]

@@ -1,11 +1,12 @@
 """Exact truncated bivariate series and the family equation solvers.
 
-A series is stored as one integer polynomial in x per power of z.  Two
-flavors share the representation: under OGF the row ``c[n]`` is the literal
-polynomial, under EGF the stored integer ``c[n][k]`` carries an implicit
-1/k! on ``x^k`` (so the table holds plain counts of labeled objects and no
-rationals ever appear).  Derivative in x is then an index shift in both
-flavors, and the EGF product is a binomial convolution.
+The solvers work on rows: row n, the z^n coefficient, is one integer
+polynomial in x, and solve returns each checked series as a CountTable.
+Two flavors share the representation: under OGF the row ``c[n]`` is the
+literal polynomial, under EGF the stored integer ``c[n][k]`` carries an
+implicit 1/k! on ``x^k`` (so the table holds plain counts of labeled
+objects and no rationals ever appear).  Derivative in x is then an index
+shift in both flavors, and the EGF product is a binomial convolution.
 
 Every row the kernel takes is a count: its entries are non-negative, and
 forming a row with a negative entry raises ArithmeticError.
@@ -61,7 +62,8 @@ Each equation is checked one z-row at a time against the solver's own rows:
 row n of its right-hand side is formed from those rows and the product's row
 n, compared with row n of the solution, and dropped, and the closed column is
 compared with the row sums of b.  So the solve holds no second table, and a
-product with other than trunc + 1 rows fails its equation.
+product with other than trunc + 1 rows fails its equation.  The tables are
+built from the rows after the check, once its product is dropped.
 
 The check's one expensive operation, its product (L L, or b r for a pair),
 runs beside the solver.  From order _SIBLING_TRUNC up, solve forks a
@@ -72,7 +74,9 @@ abstraction rule, so a wrong r_n fails the neutral equation too.  It
 computes product row n as soon as L_n, or b_(n-1), has come, and once the
 last row has come sends the product rows back the same way and leaves
 through os._exit, so it neither flushes the caller's stdio buffers nor runs
-its atexit hooks.  The caller compares the solution with the product and
+its atexit hooks.  A sibling whose product raises sends back the
+exception's type and message instead, and the caller raises them in a
+ChildProcessError.  The caller compares the solution with the product and
 reaps the sibling on every path.  Below that order, without os.fork, or with
 another Python thread running, the product consumes the rows in-process
 after the solver.
@@ -88,7 +92,7 @@ from enum import Enum
 from itertools import accumulate, chain, islice, zip_longest
 from math import gcd, lcm
 
-from .names import FamilyName
+from .names import CountTable, FamilyName
 
 
 class Flavor(Enum):
@@ -264,43 +268,6 @@ def _back_substitute(known: list[int], kmax: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Series values
-
-
-class BiSeries:
-    """Truncated series in z: rows[n], its z^n coefficient, is an x-polynomial, no trailing 0."""
-
-    __slots__ = ("flavor", "rows")
-
-    def __init__(self, flavor: Flavor, rows: list[list[int]]) -> None:
-        self.flavor = flavor
-        self.rows = rows
-
-    @property
-    def trunc(self) -> int:
-        return len(self.rows) - 1
-
-    def coeff(self, n: int, k: int) -> int:
-        if not 0 <= n <= self.trunc:
-            return 0
-        return _at(self.rows[n], k)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, BiSeries)
-            and self.flavor is other.flavor
-            and self.rows == other.rows
-        )
-
-    def __repr__(self) -> str:
-        return f"BiSeries({self.flavor.value}, {self.rows})"
-
-    def closed_sequence(self, last: int | None = None) -> list[int]:
-        last = self.trunc if last is None else last
-        return [self.coeff(n, 0) for n in range(1, last + 1)]
-
-
-# ---------------------------------------------------------------------------
 # Solvers
 
 
@@ -365,8 +332,8 @@ def _received(src) -> Iterator:
     """The values _send wrote to src, up to its end."""
     while head := src.read(8):
         size = int.from_bytes(head, "little")
-        data = src.read(size)
-        if len(head) < 8 or len(data) < size:
+        # a cut header gives no length, so no body is read for it
+        if len(head) < 8 or len(data := src.read(size)) < size:
             raise ChildProcessError("the series check's pipe ended inside a message")
         yield marshal.loads(data)
 
@@ -390,7 +357,8 @@ def _beside(rows: Iterator, product, fork: bool, sent=None) -> tuple[list, list[
     sent to it; otherwise, without os.fork, or with another thread running
     (a fork copies only the calling thread, and locks the others hold would
     stay held in the copy), it runs here afterwards.  A sibling that ends
-    before it replies raises ChildProcessError, and is reaped on every path.
+    before it replies raises ChildProcessError, carrying the type and message
+    of the exception that ended it, if one did; it is reaped on every path.
     """
     sent = sent or (lambda row: row)
     threads = sys.modules.get("threading")  # no module, no other Python thread
@@ -408,26 +376,30 @@ def _beside(rows: Iterator, product, fork: bool, sent=None) -> tuple[list, list[
             os.close(rows_out)
             os.close(reply_in)
             with open(rows_in, "rb") as src, open(reply_out, "wb") as out:
-                _send(out, list(product(_received(src))))
+                try:
+                    reply = list(product(_received(src)))
+                except Exception as err:  # the caller raises it, or nothing would show it
+                    reply = f": {type(err).__name__}: {err}"
+                _send(out, reply)
             status = 0
         finally:
             os._exit(status)
     os.close(rows_in)
     os.close(reply_out)
     try:
-        with open(rows_out, "wb") as out, open(reply_in, "rb") as src:
-            solved = []
-            for row in rows:
-                solved.append(row)
-                _send(out, sent(row))
-            out.close()
+        with open(reply_in, "rb") as src:
+            solved, why = [], "without its product"
+            try:
+                with open(rows_out, "wb") as out:
+                    for row in rows:
+                        solved.append(row)
+                        _send(out, sent(row))
+            except BrokenPipeError:  # the sibling closed its end of the rows
+                why = "before the solver's last row"
             reply = next(_received(src), None)
-        if reply is None:
-            raise ChildProcessError("the series check's sibling process ended without its product")
+        if not isinstance(reply, list):  # no reply, or the sibling's exception
+            raise ChildProcessError(f"the series check's sibling process ended {why}{reply or ''}")
         return solved, reply
-    except BrokenPipeError as err:  # the sibling closed its end of the rows
-        raise ChildProcessError(
-            "the series check's sibling process ended before the solver's last row") from err
     finally:
         os.waitpid(pid, 0)
 
@@ -441,14 +413,20 @@ _PAIRS = (
 
 
 class FamilySolution:
-    """One family's series, every series solved with it (both halves of a
-    pair), and checked: each equation the solve verified -> cells compared."""
+    """One family's series, its flavor, every series solved with it (both
+    halves of a pair), and checked: each equation verified -> cells compared."""
 
-    __slots__ = ("which", "series", "system", "checked")
+    __slots__ = ("which", "flavor", "series", "system", "checked")
 
-    def __init__(self, which: FamilyName, series: BiSeries,
-                 system: dict[FamilyName, BiSeries], checked: dict[str, int]) -> None:
-        self.which, self.series, self.system, self.checked = which, series, system, checked
+    def __init__(self, which: FamilyName, flavor: Flavor, series: CountTable,
+                 system: dict[FamilyName, CountTable], checked: dict[str, int]) -> None:
+        self.which, self.flavor, self.series = which, flavor, series
+        self.system, self.checked = system, checked
+
+
+def _table(which: FamilyName, rows: list[list[int]]) -> CountTable:
+    entries = {(n, k): c for n, row in enumerate(rows) for k, c in enumerate(row) if c}
+    return CountTable(len(rows) - 1, entries, f"series:{which.value}")
 
 
 # the names the quotient pair's record gives its fixpoint equation and closed column
@@ -523,6 +501,8 @@ def solve(which: FamilyName | str, trunc: int = 12) -> FamilySolution:
     solution is checked against its defining equations before returning,
     one z-row at a time against the solver's own rows, so the solve builds
     no series but the ones it returns; a failure raises ArithmeticError.
+    Each series is returned as a CountTable, built from the checked rows
+    once the check's product is dropped.
     The check's product (L L, or b r with r formed from b alone) is computed
     beside the solver, in a sibling process from order _SIBLING_TRUNC up if
     the platform can fork, and must have exactly trunc + 1 rows.
@@ -536,9 +516,10 @@ def solve(which: FamilyName | str, trunc: int = 12) -> FamilySolution:
     fork = trunc >= _SIBLING_TRUNC
     if which is FamilyName.L:
         rows, square = _beside(_rows_linear(trunc), _square_rows, fork)
-        series = BiSeries(Flavor.EGF, rows)
-        checked = _verify_linear(series.rows, square)
-        return FamilySolution(which, series, {which: series}, checked)
+        checked = _verify_linear(rows, square)
+        del square  # the solve's forms, not the table, set the peak
+        series = _table(which, rows)
+        return FamilySolution(which, Flavor.EGF, series, {which: series}, checked)
     pair = next(p for p in _PAIRS if which in p)
     quotient = pair[0] is FamilyName.QB
     egf = pair[0] is FamilyName.LB
@@ -550,8 +531,8 @@ def solve(which: FamilyName | str, trunc: int = 12) -> FamilySolution:
         _rows_pair(trunc, egf, abstract), lambda bs: _pair_products(bs, egf, abstract, trunc),
         fork, sent=lambda pair: pair[0],
     )
-    b, r = (BiSeries(flavor, list(rows)) for rows in zip(*pairs))
-    checked = (_verify_quotient(b.rows, r.rows, product) if quotient
-               else _verify_pair(b.rows, r.rows, product, pair))
-    system = dict(zip(pair, (b, r)))
-    return FamilySolution(which, system[which], system, checked)
+    b, r = map(list, zip(*pairs))
+    checked = _verify_quotient(b, r, product) if quotient else _verify_pair(b, r, product, pair)
+    del product  # the solve's forms, not the tables, set the peak
+    system = {name: _table(name, rows) for name, rows in zip(pair, (b, r))}
+    return FamilySolution(which, flavor, system[which], system, checked)

@@ -116,7 +116,7 @@ def test_criterion_5_bivariate_triple_agreement(neutral_classes, censuses):
     for n in range(1, 5):
         for k in range(n + 2):
             class_count = neutral_classes.unlabeled.count(n, k)
-            series_count = qb.coeff(n, k)
+            series_count = qb.count(n, k)
             map_count = censuses[n].count(n, k)
             if not class_count == series_count == map_count:
                 mismatches.append((n, k, class_count, series_count, map_count))

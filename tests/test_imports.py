@@ -54,6 +54,9 @@ class TestImportFootprint:
     def test_series_table_loads_the_series_alone(self):
         assert layers_loaded("series-table", "--family", "PB", "--max-n", "1") == {"series"}
 
+    def test_maps_census_loads_the_maps_alone(self):
+        assert layers_loaded("maps-census", "--edges", "3") == {"maps"}
+
     def test_enum_count_loads_no_series_maps_or_crosscheck(self):
         assert layers_loaded("count", "--family", "linear", "--max-n", "1") == {
             "terms", "enumeration"}
@@ -222,7 +225,7 @@ class TestImportFootprint:
 class TestLazyExports:
     def test_all_is_unchanged(self):
         assert linlam.__all__ == sorted(
-            "App BiSeries ClassCounts Classification CountTable FVar Family FamilyName"
+            "App ClassCounts Classification CountTable FVar Family FamilyName"
             " FamilySolution Flavor Kind Lam ParseError RootedMap Term Var Variant"
             " canonical_code canonicalize census check_linear class_cells class_groups"
             " classify count_classes count_family default_context enum_family genus"
@@ -252,6 +255,7 @@ class TestLazyExports:
 
     def test_old_import_paths_give_the_same_objects(self):
         assert enumeration.Family is names.Family
+        assert enumeration.CountTable is names.CountTable
         assert enumeration.CLASS_FAMILIES is names.CLASS_FAMILIES
         assert series.FamilyName is names.FamilyName
         assert maps.Variant is names.Variant

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from linlam import cli, series
-from linlam.series import BiSeries, FamilyName, Flavor, solve
+from linlam.names import CountTable
+from linlam.series import FamilyName, Flavor, solve
 from oracles import (
     add,
     comb_taylor_shift,
@@ -112,7 +113,7 @@ class TestQuotientStructure:
         qb = solve(FamilyName.QB, 8).series
         qr = solve(FamilyName.QR, 8).series
         for n in range(1, 9):
-            assert qr.coeff(n, 0) == sum(qb.rows[n - 1])
+            assert qr.count(n, 0) == sum(qb.rows[n - 1])
 
     def test_quotient_z2_row(self):
         assert solve(FamilyName.QB, 2).series.rows[2] == [0, 3, 5, 2]
@@ -499,13 +500,13 @@ def test_a_product_with_the_wrong_row_count_fails(monkeypatch, which, change, tr
 def test_solve_builds_only_the_series_it_returns(monkeypatch, which, trunc):
     # the checks compare rows: no table of x + product, z b + dr/dx or shifted b
     built = []
-    real = BiSeries.__init__
+    real = CountTable.__init__
 
     def spy(self, *args, **kwargs):
         built.append(self)
         real(self, *args, **kwargs)
 
-    monkeypatch.setattr(BiSeries, "__init__", spy)
+    monkeypatch.setattr(CountTable, "__init__", spy)
     sol = solve(which, trunc)
     assert len(built) == len(sol.system) == (1 if which is FamilyName.L else 2)
 
@@ -556,6 +557,11 @@ def test_what_crosses_the_pipe(monkeypatch, which):
     assert_no_child()
 
 
+def solved(sol):
+    """What a solution holds: its flavor and the rows of each of its tables."""
+    return sol.flavor, {which: table.rows for which, table in sol.system.items()}
+
+
 # FORKED - 1 and FORKED straddle the fork's start; 47 and 48 lie inside the forked range
 @pytest.mark.parametrize("trunc", [0, 1, 2, 12, FORKED - 1, FORKED, 47, 48])
 @pytest.mark.parametrize("which", list(FamilyName))
@@ -563,7 +569,7 @@ def test_in_process_product_gives_the_same_solution(monkeypatch, which, trunc):
     forked = solve(which, trunc)
     monkeypatch.delattr(os, "fork")
     here = solve(which, trunc)
-    assert here.system == forked.system
+    assert solved(here) == solved(forked)
     assert list(here.checked.items()) == list(forked.checked.items())
 
 
@@ -583,7 +589,7 @@ def test_a_short_series_is_checked_without_a_fork(monkeypatch, which, trunc):
     monkeypatch.setattr(series, "_SIBLING_TRUNC", 0)
     forked = solve(which, trunc)
     assert forks == [trunc]
-    assert here.system == forked.system
+    assert solved(here) == solved(forked)
     assert list(here.checked.items()) == list(forked.checked.items())
     assert_no_child()
 
@@ -654,6 +660,37 @@ def test_a_sibling_that_dies_while_rows_come(monkeypatch):
     assert_no_child()
 
 
+@pytest.mark.parametrize("at,ended", [(5, "ended"), (None, "ended without its product")])
+def test_a_sibling_that_fails_names_its_cause(monkeypatch, at, ended):
+    # the product raises in the sibling alone: at row 5, while rows still
+    # come, or once the last row has come, before it replies
+    real = series._square_rows
+    caller = os.getpid()
+
+    def planted(rows):
+        for n, row in enumerate(real(rows)):
+            if n == at and os.getpid() != caller:
+                raise ArithmeticError("planted in the sibling")
+            yield row
+        if os.getpid() != caller:
+            raise ArithmeticError("planted in the sibling")
+
+    monkeypatch.setattr(series, "_square_rows", planted)
+    with pytest.raises(ChildProcessError,
+                       match=f"sibling process {ended}.*: ArithmeticError: planted in the sibling"):
+        solve(FamilyName.L, 60)
+    assert_no_child()
+
+
+def test_a_cut_header_raises_child_process_error():
+    # seven bytes of a header spell no length, so no body is asked for
+    rows_in, rows_out = os.pipe()
+    os.write(rows_out, b"\xff" * 7)
+    os.close(rows_out)
+    with open(rows_in, "rb") as src, pytest.raises(ChildProcessError, match="inside a message"):
+        next(series._received(src))
+
+
 def abstraction(pair):
     """The abstraction rule solve gives the pair: r_n from b_(n-1) and n."""
     if pair[0] is FamilyName.QB:
@@ -668,8 +705,9 @@ def test_streamed_products_equal_the_series_product(pair):
         L = solve(FamilyName.L, 40).series.rows
         assert list(series._square_rows(L)) == series_product(schoolbook_egf, L, L)
         return
-    b, r = (solve(pair[0], 40).system[name] for name in pair)
-    egf = b.flavor is Flavor.EGF
+    sol = solve(pair[0], 40)
+    b, r = (sol.system[name] for name in pair)
+    egf = sol.flavor is Flavor.EGF
     want = series_product(schoolbook_egf if egf else schoolbook_ogf, b.rows, r.rows)
     assert list(series._pair_products(b.rows, egf, abstraction(pair), 40)) == want
 
@@ -677,7 +715,8 @@ def test_streamed_products_equal_the_series_product(pair):
 @pytest.mark.parametrize("pair", series._PAIRS)
 def test_pair_products_keep_pace_with_b(pair):
     trunc = 12
-    b = solve(pair[0], trunc).system[pair[0]]
+    sol = solve(pair[0], trunc)
+    b = sol.system[pair[0]]
     real = abstraction(pair)
     pulled, formed = [], []
 
@@ -690,7 +729,7 @@ def test_pair_products_keep_pace_with_b(pair):
         formed.append(n)
         return real(row, n)
 
-    products = series._pair_products(rows(), b.flavor is Flavor.EGF, abstract, trunc)
+    products = series._pair_products(rows(), sol.flavor is Flavor.EGF, abstract, trunc)
     for n in range(trunc + 1):
         next(products)
         # row n is out once b_(n-1) has come, before b_n is pulled
