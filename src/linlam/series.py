@@ -2,11 +2,13 @@
 
 The solvers work on rows: row n, the z^n coefficient, is one integer
 polynomial in x, and solve returns each checked series as a CountTable.
-Two flavors share the representation: under OGF the row ``c[n]`` is the
-literal polynomial, under EGF the stored integer ``c[n][k]`` carries an
-implicit 1/k! on ``x^k`` (so the table holds plain counts of labeled
-objects and no rationals ever appear).  Derivative in x is then an index
-shift in both flavors, and the EGF product is a binomial convolution.
+Every row is an ordinary power series in x.  The labeled families (L, LB,
+LR) are exponential in x, so entry k of their rows holds the labeled count
+divided by k!.  The EGF product is then the plain product, and d/dx is the
+weighted shift (k + 1) c[k + 1]; the planar pair's (r - r(0))/x is the
+plain shift c[k + 1].  The equations build every entry from integers by sums,
+products and these integer weights, so no rational ever appears, and the
+table multiplies entry k of a labeled row by k! once.
 
 Every row the kernel takes is a count: its entries are non-negative, and
 forming a row with a negative entry raises ArithmeticError.
@@ -40,12 +42,6 @@ neighbouring rows share X and a solver packs each row about once per X.
 The evaluations live and die with the form: a solver's forms last for its
 solve, and the product of each equation check builds its own, in another
 process for a long series.
-
-An EGF row is first divided by i! term by term and put over its reduced
-common denominator D; the OGF product of two such rows is the EGF product
-divided by k! D_a D_b, so the kernel scales each product to one common
-denominator, recovers the coefficients, and multiplies back by k!, with no
-binomial coefficient anywhere.
 
 The Taylor shift p(x) -> p(x + 1) is Pascal's rule on the row.
 
@@ -90,7 +86,6 @@ import sys
 from collections.abc import Iterable, Iterator
 from enum import Enum
 from itertools import accumulate, chain, islice, zip_longest
-from math import gcd, lcm
 
 from .names import CountTable, FamilyName
 
@@ -115,42 +110,25 @@ def _at(row: list[int], k: int) -> int:
 
 
 class _Form:
-    """A row ready for the kernel: row[i] = nums[i] * i! / den under EGF, nums under OGF.
-
-    The form also keeps its last packing: the byte count q of the point
-    X = 2**(8 * q), and the row and its reversal evaluated at +X and -X.
+    """A row ready for the kernel, and its last packing: the byte count q of
+    the point X = 2**(8 * q), and the row and its reversal evaluated at +X and -X.
     """
 
-    __slots__ = ("nums", "den", "bits", "q", "evals")
+    __slots__ = ("row", "bits", "q", "evals")
 
-    def __init__(self, nums: list[int], den: int) -> None:
-        if nums and min(nums) < 0:
+    def __init__(self, row: list[int]) -> None:
+        if row and min(row) < 0:
             raise ArithmeticError("the series kernel takes counts, not a negative entry")
-        self.nums = nums
-        self.den = den
-        self.bits = max(nums, default=0).bit_length()  # every nums[i] < 2**bits
+        self.row = row
+        self.bits = max(row, default=0).bit_length()  # every row[i] < 2**bits
         self.q = 0
         self.evals: tuple[int, ...] = ()
 
 
-def _form(row: list[int], egf: bool) -> _Form:
-    nums, den = row, 1
-    if egf:
-        fact = 1
-        for i, c in enumerate(row):
-            fact *= i or 1
-            den = lcm(den, fact // gcd(c, fact))
-        nums, fact = [], 1
-        for i, c in enumerate(row):
-            fact *= i or 1
-            nums.append(c * den // fact)
-    return _Form(nums, den)
-
-
 def _pack_form(f: _Form, q: int) -> None:
-    """Store f and its reversal evaluated at +X and -X, X = 2**(8 * q), for nums[i] < X**4."""
+    """Store f and its reversal evaluated at +X and -X, X = 2**(8 * q), for row[i] < X**4."""
     width, shift = 4 * q, 8 * q
-    slots = [c.to_bytes(width, "little") for c in f.nums]
+    slots = [c.to_bytes(width, "little") for c in f.row]
     evals = []
     for p in (slots, slots[::-1]):
         # the coefficients i = j mod 4, packed in 4q-byte slots, are a polynomial in X**4
@@ -193,18 +171,15 @@ def _recover(low: int, high: int, count: int, width: int) -> list[int]:
     return out
 
 
-def _convolve(terms: list[tuple[int, _Form, _Form]], egf: bool) -> list[int]:
-    """The row sum of weight * a * b over the terms (weight, a, b), in the flavor's product."""
-    terms = [t for t in terms if t[1].nums and t[2].nums]
+def _convolve(terms: list[tuple[int, _Form, _Form]]) -> list[int]:
+    """The row sum of weight * a * b over the terms (weight, a, b)."""
+    terms = [t for t in terms if t[1].row and t[2].row]
     if not terms:
         return []
-    den = lcm(*[a.den * b.den for _, a, b in terms]) if egf else 1
-    if den > 1:
-        terms = [(wt * den // (a.den * b.den), a, b) for wt, a, b in terms]
     bound = size = 0
     for wt, a, b in terms:
-        bound += wt * min(len(a.nums), len(b.nums)) << (a.bits + b.bits)
-        size = max(size, len(a.nums) + len(b.nums) - 1)
+        bound += wt * min(len(a.row), len(b.row)) << (a.bits + b.bits)
+        size = max(size, len(a.row) + len(b.row) - 1)
     # X = 2**(8 * q) with every |coefficient| < X**4 / 4, and q even so that
     # neighbouring rows share a point and keep their evaluations
     q = -(-(bound.bit_length() + 2) // 64) * 2
@@ -221,7 +196,7 @@ def _convolve(terms: list[tuple[int, _Form, _Form]], egf: bool) -> list[int]:
         plus += wt * (a_plus * b_plus)
         minus += wt * (a_minus * b_minus)
         # the reversal of a b as a row of size coefficients is x**gap rev(a) rev(b)
-        gap = size + 1 - len(a.nums) - len(b.nums)
+        gap = size + 1 - len(a.row) - len(b.row)
         rev_plus += wt * (a_rev_plus * b_rev_plus) << shift * gap
         rev = wt * (a_rev_minus * b_rev_minus) << shift * gap
         rev_minus += -rev if gap & 1 else rev
@@ -233,11 +208,6 @@ def _convolve(terms: list[tuple[int, _Form, _Form]], egf: bool) -> list[int]:
     out = [0] * size
     out[::2] = _recover(evens, rev_evens, (size + 1) // 2, 2 * q)
     out[1::2] = _recover(odds, rev_odds, size // 2, 2 * q)
-    if egf:
-        fact = 1
-        for k in range(len(out)):
-            fact *= k or 1
-            out[k] = out[k] * fact // den
     return _strip(out)
 
 
@@ -254,8 +224,12 @@ def _taylor_shift_row(row: list[int]) -> list[int]:
     return c[::-1]
 
 
-def _back_substitute(known: list[int], kmax: int) -> list[int]:
-    """Solve c[k] = known[k] + c[k+1] with c vanishing above degree kmax."""
+def _back_substitute(known: list[int], kmax: int, labeled: bool) -> list[int]:
+    """Solve c = known + dc/dx if labeled, else c = known + (c - c(0))/x, to degree kmax.
+
+    That is c[k] = known[k] + w c[k+1], with the step weight w = k + 1 for a
+    labeled row and 1 otherwise, and c vanishing above degree kmax.
+    """
     for k in range(kmax + 1, len(known)):
         if known[k]:
             raise ArithmeticError(
@@ -263,7 +237,7 @@ def _back_substitute(known: list[int], kmax: int) -> list[int]:
             )
     c = [0] * (kmax + 2)
     for k in range(kmax, -1, -1):
-        c[k] = _at(known, k) + c[k + 1]
+        c[k] = _at(known, k) + (k + 1 if labeled else 1) * c[k + 1]
     return _strip(c[: kmax + 1])
 
 
@@ -274,26 +248,26 @@ def _back_substitute(known: list[int], kmax: int) -> list[int]:
 def _rows_linear(trunc: int) -> Iterator[list[int]]:
     """Rows L_0 .. L_trunc, each yielded as soon as it is fixed."""
     # family of all linear terms: same-order derivative, so back-substitute
-    forms = [_form([], True)]
+    forms = [_Form([])]
     yield []
     for n in range(1, trunc + 1):
-        known = [0, 1] if n == 1 else _convolve(_square_terms(forms, n, 1), True)
-        row = _back_substitute(known, n)
+        known = [0, 1] if n == 1 else _convolve(_square_terms(forms, n, 1))
+        row = _back_substitute(known, n, True)
         yield row
-        forms.append(_form(row, True))
+        forms.append(_Form(row))
 
 
-def _rows_pair(trunc: int, egf: bool, abstract) -> Iterator[tuple[list[int], list[int]]]:
+def _rows_pair(trunc: int, abstract) -> Iterator[tuple[list[int], list[int]]]:
     """Rows (b_n, r_n) of a mutual pair b = x + b r, with r_n = abstract(b_(n-1), n)."""
     b, r = [0, 1], []
-    b_forms, r_forms = [_form(b, egf)], [_form(r, egf)]
+    b_forms, r_forms = [_Form(b)], [_Form(r)]
     yield b, r
     for n in range(1, trunc + 1):
         r = abstract(b, n)
-        r_forms.append(_form(r, egf))
-        b = _convolve([(1, b_forms[i], r_forms[n - i]) for i in range(n)], egf)
+        r_forms.append(_Form(r))
+        b = _convolve([(1, b_forms[i], r_forms[n - i]) for i in range(n)])
         yield b, r
-        b_forms.append(_form(b, egf))
+        b_forms.append(_Form(b))
 
 
 # ---------------------------------------------------------------------------
@@ -301,23 +275,23 @@ def _rows_pair(trunc: int, egf: bool, abstract) -> Iterator[tuple[list[int], lis
 
 
 def _square_rows(rows: Iterable[list[int]]) -> Iterator[list[int]]:
-    """Row n of L L, under EGF, as soon as rows L_0 .. L_n have come."""
+    """Row n of L L as soon as rows L_0 .. L_n have come."""
     forms = []
     for n, row in enumerate(rows):
-        forms.append(_form(row, True))
-        yield _convolve(_square_terms(forms, n), True)
+        forms.append(_Form(row))
+        yield _convolve(_square_terms(forms, n))
 
 
-def _pair_products(bs: Iterable[list[int]], egf: bool, abstract, trunc: int) -> Iterator[list[int]]:
+def _pair_products(bs: Iterable[list[int]], abstract, trunc: int) -> Iterator[list[int]]:
     """Row n of b r, r_n = abstract(b_(n-1), n), once b_(n-1) has come; b_trunc is read, unused."""
-    b_forms, r_forms = [], [_form([], egf)]
+    b_forms, r_forms = [], [_Form([])]
     yield []
     for n, b in enumerate(bs, 1):
         if n > trunc:
             break
-        b_forms.append(_form(b, egf))
-        r_forms.append(_form(abstract(b, n), egf))
-        yield _convolve([(1, b_forms[i], r_forms[n - i]) for i in range(n)], egf)
+        b_forms.append(_Form(b))
+        r_forms.append(_Form(abstract(b, n)))
+        yield _convolve([(1, b_forms[i], r_forms[n - i]) for i in range(n)])
 
 
 def _send(out, value) -> None:
@@ -424,7 +398,17 @@ class FamilySolution:
         self.system, self.checked = system, checked
 
 
-def _table(which: FamilyName, rows: list[list[int]]) -> CountTable:
+def _table(which: FamilyName, rows: list[list[int]], labeled: bool) -> CountTable:
+    """The rows as a table, each labeled row's entry k multiplied by k! in place.
+
+    In place, the table holds the rows' counts rather than a copy beside them.
+    """
+    if labeled:
+        for row in rows:
+            fact = 1
+            for k in range(1, len(row)):
+                fact *= k
+                row[k] *= fact
     entries = {(n, k): c for n, row in enumerate(rows) for k, c in enumerate(row) if c}
     return CountTable(len(rows) - 1, entries, f"series:{which.value}")
 
@@ -459,9 +443,14 @@ def _x_plus(product: list[list[int]]) -> Iterator[list[int]]:
     return (_add([0, 1] if n == 0 else [], p) for n, p in enumerate(product))
 
 
+def _dx(row: list[int]) -> list[int]:
+    """d/dx of a row: entry k is (k + 1) row[k + 1]."""
+    return [k * c for k, c in enumerate(row)][1:]
+
+
 def _verify_linear(s: list[list[int]], square: list[list[int]]) -> dict[str, int]:
     failure = "linear family solution fails its equation"
-    rhs = (_add([0, 1] if n == 1 else [], sq, row[1:])
+    rhs = (_add([0, 1] if n == 1 else [], sq, _dx(row))
            for n, (sq, row) in enumerate(zip(square, s, strict=True)))
     return {"L = zx + L^2 + dL/dx": _cells(s, rhs, failure)}
 
@@ -469,10 +458,13 @@ def _verify_linear(s: list[list[int]], square: list[list[int]]) -> dict[str, int
 def _verify_pair(b: list[list[int]], r: list[list[int]], product: list[list[int]],
                  pair) -> dict[str, int]:
     nb, nr = (name.value for name in pair)
-    dr = f"d{nr}/dx" if pair[0] is FamilyName.LB else f"({nr} - {nr}(x=0))/x"
+    labeled = pair[0] is FamilyName.LB
+    dr = f"d{nr}/dx" if labeled else f"({nr} - {nr}(x=0))/x"
     neutral = "neutral family solution fails its equation"
-    # z b + dr/dx, or z b + (r - r(x=0))/x: either derivative drops a row's x^0 term
-    normal = (_add(prev, row[1:]) for prev, row in zip(chain(([],), b), r))
+    # z b + dr/dx, or z b + (r - r(x=0))/x: r_n shifted down a degree, with the
+    # weight k + 1 or without
+    shift = _dx if labeled else (lambda row: row[1:])
+    normal = (_add(prev, shift(row)) for prev, row in zip(chain(([],), b), r))
     return {
         f"{nb} = x + {nb} {nr}": _cells(b, _x_plus(product), neutral),
         f"{nr} = z {nb} + {dr}": _cells(r, normal, "normal family solution fails its equation"),
@@ -518,21 +510,22 @@ def solve(which: FamilyName | str, trunc: int = 12) -> FamilySolution:
         rows, square = _beside(_rows_linear(trunc), _square_rows, fork)
         checked = _verify_linear(rows, square)
         del square  # the solve's forms, not the table, set the peak
-        series = _table(which, rows)
+        series = _table(which, rows, True)
         return FamilySolution(which, Flavor.EGF, series, {which: series}, checked)
     pair = next(p for p in _PAIRS if which in p)
     quotient = pair[0] is FamilyName.QB
-    egf = pair[0] is FamilyName.LB
-    flavor = Flavor.EGF if egf else Flavor.OGF
+    labeled = pair[0] is FamilyName.LB
     # the abstraction rule: r_n(x) = b_(n-1)(x + 1) for classes, else the
     # same-order derivative, back-substituted under the degree bound n
-    abstract = (lambda row, n: _taylor_shift_row(row)) if quotient else _back_substitute
+    abstract = ((lambda row, n: _taylor_shift_row(row)) if quotient
+                else (lambda row, n: _back_substitute(row, n, labeled)))
     pairs, product = _beside(
-        _rows_pair(trunc, egf, abstract), lambda bs: _pair_products(bs, egf, abstract, trunc),
+        _rows_pair(trunc, abstract), lambda bs: _pair_products(bs, abstract, trunc),
         fork, sent=lambda pair: pair[0],
     )
     b, r = map(list, zip(*pairs))
     checked = _verify_quotient(b, r, product) if quotient else _verify_pair(b, r, product, pair)
     del product  # the solve's forms, not the tables, set the peak
-    system = {name: _table(name, rows) for name, rows in zip(pair, (b, r))}
+    system = {name: _table(name, rows, labeled) for name, rows in zip(pair, (b, r))}
+    flavor = Flavor.EGF if labeled else Flavor.OGF
     return FamilySolution(which, flavor, system[which], system, checked)

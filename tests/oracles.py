@@ -116,6 +116,14 @@ def neutral_rows(b, r, oracle):
             for n, p in enumerate(series_product(oracle, b, r))]
 
 
+def normal_rows(b, r):
+    """Rows of z b + dr/dx under EGF, or z b + (r - r(x=0))/x under OGF.
+
+    On a table's counts either derivative is the plain shift r[k + 1].
+    """
+    return [stripped(add(b[n - 1] if n else [], r[n][1:])) for n in range(len(r))]
+
+
 def fixpoint_rows(qb):
     """Rows of x + z QB QB(x+1), the exchange classes' fixpoint equation."""
     product = series_product(schoolbook_ogf, qb, [comb_taylor_shift(row) for row in qb])

@@ -813,9 +813,9 @@ class TestCrosscheck:
             finally:
                 solving.pop()
 
-        def convolve_spy(terms, egf):
+        def convolve_spy(terms):
             products.append(bool(solving))
-            return convolve(terms, egf)
+            return convolve(terms)
 
         monkeypatch.setattr(series, "solve", solve_spy)
         monkeypatch.setattr(series, "_convolve", convolve_spy)

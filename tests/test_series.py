@@ -19,6 +19,7 @@ from oracles import (
     fixpoint_rows,
     linear_rows,
     neutral_rows,
+    normal_rows,
     schoolbook_egf,
     schoolbook_ogf,
     series_product,
@@ -42,6 +43,28 @@ CLOSED_PREFIXES = {
     FamilyName.PR: [1, 2, 9, 54, 378, 2916],
     FamilyName.QR: [1, 2, 10, 74, 706, 8162],
 }
+
+
+def labeled(row):
+    """A solver row's labeled counts: entry k, the count over k!, times k!."""
+    return [c * factorial(k) for k, c in enumerate(row)]
+
+
+def solver_row(row, flavor):
+    """The solver's row for a table row: under EGF entry k is the count over k!, exactly."""
+    if flavor is Flavor.OGF:
+        return list(row)
+    out = []
+    for k, c in enumerate(row):
+        q, rem = divmod(c, factorial(k))
+        assert not rem, (row, k)
+        out.append(q)
+    return out
+
+
+def table_row(row, flavor):
+    """The table's row for a solver row."""
+    return labeled(row) if flavor is Flavor.EGF else row
 
 
 class TestRowOracles:
@@ -76,22 +99,24 @@ class TestRowOracles:
 
 class TestMul:
     def test_ogf_polynomial_product(self):
-        x, x_plus_1 = series._form([0, 1], False), series._form([1, 1], False)
-        assert series._convolve([(1, x, x_plus_1)], False) == [0, 1, 1]  # x^2 + x
+        x, x_plus_1 = series._Form([0, 1]), series._Form([1, 1])
+        assert series._convolve([(1, x, x_plus_1)]) == [0, 1, 1]  # x^2 + x
 
     def test_egf_square_of_x_counts_labelings(self):
-        x = series._form([0, 1], True)
-        assert series._convolve([(1, x, x)], True) == [0, 0, 2]
+        # x squared is x^2, whose coefficient 1 = 2 / 2! counts the two labelings
+        x = series._Form([0, 1])
+        assert labeled(series._convolve([(1, x, x)])) == [0, 0, 2]
 
     def test_egf_square_feeds_the_linear_equation(self):
         # squaring the linear solution reproduces the known z^2 input
         sol = solve(FamilyName.L, 2).series
-        # back-substituting x-degrees from the top: c[k] = known[k] + c[k+1]
-        known = list(series._square_rows(sol.rows))[2]
+        known = list(series._square_rows([solver_row(row, Flavor.EGF) for row in sol.rows]))[2]
+        # back-substituting x-degrees from the top: c[k] = known[k] + (k + 1) c[k+1]
         c = {3: 0}
         for k in (2, 1, 0):
-            c[k] = (known[k] if k < len(known) else 0) + c[k + 1]
+            c[k] = (known[k] if k < len(known) else 0) + (k + 1) * c[k + 1]
         assert c[0] == 5
+        assert labeled([c[0], c[1], c[2]]) == sol.rows[2]
 
 
 class TestTaylorShift:
@@ -136,13 +161,11 @@ class TestInvariants:
     @pytest.mark.parametrize("which", [FamilyName.L, FamilyName.LB, FamilyName.LR])
     def test_egf_counts_divisible_by_free_relabelings(self, which):
         # the k! relabelings of k free variables act freely on labeled terms,
-        # so row[k] counts k! copies of each unlabeled term; the packed kernel
-        # therefore sees EGF forms with denominator 1
+        # so row[k] counts k! copies of each unlabeled term
         s = solve(which, 40).series
         for n in range(41):
             row = s.rows[n]
             assert all(c % factorial(k) == 0 for k, c in enumerate(row)), n
-            assert series._form(row, True).den == 1
 
 
 WINDOW_9 = 10 * 13 // 2  # the cells k <= n + 1 of a series to order 9
@@ -183,6 +206,8 @@ def random_row(rng, length):
             for _ in range(length)]
 
 
+# the kernel's plain product, checked under EGF on the labeled counts of its
+# rows: entry k of a kernel row is the count over k!
 FLAVORS = [(Flavor.OGF, schoolbook_ogf), (Flavor.EGF, schoolbook_egf)]
 EDGE_ROWS = [[], [0], [0, 0, 0], [1], [0, 3], [5, 0, 0, 7, 0]]
 
@@ -191,36 +216,35 @@ class TestPackedKernel:
     @pytest.mark.parametrize("flavor,oracle", FLAVORS)
     def test_row_product_matches_schoolbook(self, flavor, oracle):
         rng = random.Random(2024)
-        egf = flavor is Flavor.EGF
         pairs = [(a, b) for a in EDGE_ROWS for b in EDGE_ROWS]
         pairs += [(random_row(rng, n), random_row(rng, rng.randint(0, 80))) for n in range(1, 81)]
         for a, b in pairs:
-            got = series._convolve([(1, series._form(a, egf), series._form(b, egf))], egf)
-            assert got == stripped(oracle(a, b)), (a, b)
+            got = series._convolve([(1, series._Form(a), series._Form(b))])
+            want = oracle(table_row(a, flavor), table_row(b, flavor))
+            assert table_row(got, flavor) == stripped(want), (a, b)
 
     @pytest.mark.parametrize("flavor,oracle", FLAVORS)
     def test_series_product_matches_schoolbook(self, flavor, oracle):
         # z-convolutions as the solvers form them, one term per pair of rows;
         # the square (a, a) takes the general product with each form twice
         rng = random.Random(7)
-        egf = flavor is Flavor.EGF
         trunc = 5
         for _ in range(4):
             a, b = ([random_row(rng, rng.randint(0, 40)) for _ in range(trunc + 1)]
                     for _ in range(2))
             for left, right in ((a, b), (a, a)):
-                lf = [series._form(row, egf) for row in left]
-                rf = lf if right is left else [series._form(row, egf) for row in right]
-                got = [series._convolve([(1, lf[i], rf[n - i]) for i in range(n + 1)], egf)
+                lf = [series._Form(row) for row in left]
+                rf = lf if right is left else [series._Form(row) for row in right]
+                got = [series._convolve([(1, lf[i], rf[n - i]) for i in range(n + 1)])
                        for n in range(trunc + 1)]
-                assert got == series_product(oracle, left, right)
+                counts = ([table_row(row, flavor) for row in side] for side in (left, right))
+                assert [table_row(row, flavor) for row in got] == series_product(oracle, *counts)
 
     @pytest.mark.parametrize("flavor,oracle", FLAVORS)
     def test_weighted_sums_match_schoolbook(self, flavor, oracle):
         # mixed lengths, entries of up to ~2,000 bits, and squares, whose two
         # factors are one form; output lengths 1 and 2 included
         rng = random.Random(31)
-        egf = flavor is Flavor.EGF
         cases = [[(1, [3], [5])], [(2, [7], [1, 4])], [(1, [2], [2]), (3, [9], [0, 8])]]
         for _ in range(120):
             lengths = [(rng.randint(1, 40), rng.randint(1, 40)) for _ in range(rng.randint(1, 6))]
@@ -233,11 +257,12 @@ class TestPackedKernel:
             terms = []
             want = []
             for wt, a, b in case:
-                fa = series._form(a, egf)
-                terms.append((wt, fa, fa if b is a else series._form(b, egf)))
-                want = add(want, [wt * c for c in oracle(a, b)])
+                fa = series._Form(a)
+                terms.append((wt, fa, fa if b is a else series._Form(b)))
+                product = oracle(table_row(a, flavor), table_row(b, flavor))
+                want = add(want, [wt * c for c in product])
             sizes.add(len(want))
-            assert series._convolve(terms, egf) == stripped(want), case
+            assert table_row(series._convolve(terms), flavor) == stripped(want), case
         assert {1, 2} <= sizes and any(n % 2 for n in sizes) and any(n % 2 == 0 for n in sizes)
 
     @pytest.mark.parametrize("flavor,oracle", FLAVORS)
@@ -245,30 +270,27 @@ class TestPackedKernel:
         # rows of equal entries make the middle output coefficient
         # n (2**bits - 1)**2, just under the bound n 2**(2 bits) that sets the
         # point X; sweeping bits puts that bound at every offset within X's rounding
-        egf = flavor is Flavor.EGF
         for n in (1, 2, 3, 8, 33):
             for bits in range(1, 140):
                 top = (1 << bits) - 1
                 a = [top] * n
-                if egf:
-                    # entries i! top, so the kernel form holds top itself
-                    a = [c * factorial(i) for i, c in enumerate(a)]
-                got = series._convolve([(1, series._form(a, egf), series._form(a, egf))], egf)
-                assert got == stripped(oracle(a, a)), (n, bits)
+                got = series._convolve([(1, series._Form(a), series._Form(a))])
+                counts = table_row(a, flavor)
+                assert table_row(got, flavor) == stripped(oracle(counts, counts)), (n, bits)
 
     def test_stale_evaluation_is_not_reused(self):
         # one form in two products at different points X: the second must
         # pack it again rather than reuse the evaluations at the first X
         rng = random.Random(5)
         for flavor, oracle in FLAVORS:
-            egf = flavor is Flavor.EGF
             a = [rng.getrandbits(40) | 1 for _ in range(9)]
             small, large = [1, 0, 1], [rng.getrandbits(3000) for _ in range(9)]
-            fa = series._form(a, egf)
+            fa = series._Form(a)
             points = []
             for b in (small, large, small):
-                got = series._convolve([(1, fa, series._form(b, egf))], egf)
-                assert got == stripped(oracle(a, b)), b
+                got = series._convolve([(1, fa, series._Form(b))])
+                want = oracle(table_row(a, flavor), table_row(b, flavor))
+                assert table_row(got, flavor) == stripped(want), b
                 points.append(fa.q)
             assert points[0] < points[1] > points[2]
 
@@ -315,22 +337,24 @@ class TestPackedKernel:
         for row in EDGE_ROWS + [random_row(rng, n) for n in range(1, 81)]:
             assert series._taylor_shift_row(row) == comb_taylor_shift(row), row
 
-    @pytest.mark.parametrize("egf", [False, True])
-    def test_a_negative_entry_is_rejected(self, egf):
+    def test_a_negative_entry_is_rejected(self):
         # every row the solvers and checks form is a count
         with pytest.raises(ArithmeticError, match="negative"):
-            series._form([2, -1, 3], egf)
+            series._Form([2, -1, 3])
 
 
 def test_solved_tables_satisfy_their_equations_by_schoolbook():
     # the solver and its equation checks run one kernel, so rebuild each
-    # right-hand side from the schoolbook oracles instead
-    L = solve(FamilyName.L, 12).series.rows
+    # right-hand side from the schoolbook oracles on the tables' counts instead,
+    # at the least order whose check's product runs in a forked sibling
+    trunc = series._SIBLING_TRUNC
+    L = solve(FamilyName.L, trunc).series.rows
     assert L == linear_rows(L)
     for pair, oracle in (((FamilyName.LB, FamilyName.LR), schoolbook_egf),
                          ((FamilyName.PB, FamilyName.PR), schoolbook_ogf)):
-        b, r = (solve(pair[0], 12).system[name].rows for name in pair)
+        b, r = (solve(pair[0], trunc).system[name].rows for name in pair)
         assert b == neutral_rows(b, r, oracle), pair[0]
+        assert r == normal_rows(b, r), pair[1]
     qb = solve(FamilyName.QB, 20).series.rows
     assert qb == fixpoint_rows(qb)
 
@@ -341,8 +365,8 @@ def test_a_fault_the_kernel_shares_with_its_check(monkeypatch):
     # fixpoint sees it from b_18, the first row with 20 coefficients
     real = series._convolve
 
-    def faulty(terms, egf):
-        out = real(terms, egf)
+    def faulty(terms):
+        out = real(terms)
         if len(out) >= 20:
             out[len(out) // 2] += 1
         return out
@@ -394,8 +418,8 @@ class TestEquationChecksAreLive:
     def test_pair(self, monkeypatch, which, side):
         real = series._rows_pair
 
-        def wrong(trunc, egf, abstract):
-            return bump_row_20(real(trunc, egf, abstract), side)
+        def wrong(trunc, abstract):
+            return bump_row_20(real(trunc, abstract), side)
 
         monkeypatch.setattr(series, "_rows_pair", wrong)
         with pytest.raises(ArithmeticError, match="family solution fails its equation"):
@@ -430,8 +454,8 @@ class TestEquationChecksAreLive:
         caller = os.getpid()
         seen = []
 
-        def wrong(known, kmax):
-            out = real(known, kmax)
+        def wrong(known, kmax, labeled):
+            out = real(known, kmax, labeled)
             if kmax == 20 and not seen and os.getpid() == caller:
                 seen.append(kmax)
                 out[3] += 1
@@ -448,8 +472,8 @@ class TestEquationChecksAreLive:
     def test_quotient_fixpoint(self, monkeypatch, side, message):
         real = series._rows_pair
 
-        def wrong(trunc, egf, abstract):
-            return bump_row_20(real(trunc, egf, abstract), side)
+        def wrong(trunc, abstract):
+            return bump_row_20(real(trunc, abstract), side)
 
         monkeypatch.setattr(series, "_rows_pair", wrong)
         with pytest.raises(ArithmeticError, match=message):
@@ -462,6 +486,36 @@ class TestEquationChecksAreLiveInProcess(TestEquationChecksAreLive):
     @pytest.fixture(autouse=True)
     def transport(self, monkeypatch):
         monkeypatch.delattr(os, "fork")
+
+
+@pytest.mark.parametrize("which,failure", [
+    (FamilyName.L, "linear family solution fails its equation"),
+    (FamilyName.LB, "normal family solution fails its equation"),
+    (FamilyName.LR, "normal family solution fails its equation"),
+])
+def test_a_fault_the_back_substitution_shares_with_its_check(monkeypatch, tmp_path, which,
+                                                             failure):
+    # a labeled step weight of k where k + 1 belongs, at degree 1, in every
+    # process: a pair's sibling forms its r from b with the same fault, so the
+    # product agrees with the solver, and only the checks' own d/dx can see it
+    log = tmp_path / "pids"
+
+    def wrong(known, kmax, labeled):
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()}\n")
+        c = [0] * (kmax + 2)
+        for k in range(kmax, -1, -1):
+            weight = (k if k == 1 else k + 1) if labeled else 1
+            c[k] = (known[k] if k < len(known) else 0) + weight * c[k + 1]
+        return stripped(c[: kmax + 1])
+
+    monkeypatch.setattr(series, "_back_substitute", wrong)
+    with pytest.raises(ArithmeticError, match=failure):
+        solve(which, FORKED)
+    assert_no_child()
+    pids = set(log.read_text().split())
+    # the linear square reads only L; a pair's sibling back-substitutes too
+    assert str(os.getpid()) in pids and len(pids) == (1 if which is FamilyName.L else 2)
 
 
 # the equation that reads the check's product, for each system
@@ -548,12 +602,12 @@ def test_what_crosses_the_pipe(monkeypatch, which):
 
     def spy(out, value):
         if os.getpid() == caller:
-            sent.append(value)
+            sent.append(list(value))  # a copy: the table scales the rows in place later
         real(out, value)
 
     monkeypatch.setattr(series, "_send", spy)
     sol = solve(which, FORKED)
-    assert sent == sol.series.rows
+    assert sent == [solver_row(row, sol.flavor) for row in sol.series.rows]
     assert_no_child()
 
 
@@ -695,7 +749,7 @@ def abstraction(pair):
     """The abstraction rule solve gives the pair: r_n from b_(n-1) and n."""
     if pair[0] is FamilyName.QB:
         return lambda row, n: series._taylor_shift_row(row)
-    return series._back_substitute
+    return lambda row, n: series._back_substitute(row, n, pair[0] is FamilyName.LB)
 
 
 @pytest.mark.parametrize("pair", [None, *series._PAIRS])
@@ -703,25 +757,28 @@ def test_streamed_products_equal_the_series_product(pair):
     # the schoolbook series product is the reference
     if pair is None:
         L = solve(FamilyName.L, 40).series.rows
-        assert list(series._square_rows(L)) == series_product(schoolbook_egf, L, L)
+        square = series._square_rows([solver_row(row, Flavor.EGF) for row in L])
+        assert list(map(labeled, square)) == series_product(schoolbook_egf, L, L)
         return
     sol = solve(pair[0], 40)
     b, r = (sol.system[name] for name in pair)
     egf = sol.flavor is Flavor.EGF
     want = series_product(schoolbook_egf if egf else schoolbook_ogf, b.rows, r.rows)
-    assert list(series._pair_products(b.rows, egf, abstraction(pair), 40)) == want
+    bs = [solver_row(row, sol.flavor) for row in b.rows]
+    got = series._pair_products(bs, abstraction(pair), 40)
+    assert [table_row(row, sol.flavor) for row in got] == want
 
 
 @pytest.mark.parametrize("pair", series._PAIRS)
 def test_pair_products_keep_pace_with_b(pair):
     trunc = 12
     sol = solve(pair[0], trunc)
-    b = sol.system[pair[0]]
+    bs = [solver_row(row, sol.flavor) for row in sol.system[pair[0]].rows]
     real = abstraction(pair)
     pulled, formed = [], []
 
     def rows():
-        for row in b.rows:
+        for row in bs:
             pulled.append(row)
             yield row
 
@@ -729,14 +786,14 @@ def test_pair_products_keep_pace_with_b(pair):
         formed.append(n)
         return real(row, n)
 
-    products = series._pair_products(rows(), sol.flavor is Flavor.EGF, abstract, trunc)
+    products = series._pair_products(rows(), abstract, trunc)
     for n in range(trunc + 1):
         next(products)
         # row n is out once b_(n-1) has come, before b_n is pulled
-        assert pulled == b.rows[:n]
+        assert pulled == bs[:n]
     assert next(products, None) is None
     # b_trunc is read but forms no r_(trunc+1) and no row past trunc
-    assert pulled == b.rows
+    assert pulled == bs
     assert formed == list(range(1, trunc + 1))
 
 
