@@ -337,10 +337,13 @@ class TestPackedKernel:
         for row in EDGE_ROWS + [random_row(rng, n) for n in range(1, 81)]:
             assert series._taylor_shift_row(row) == comb_taylor_shift(row), row
 
-    def test_a_negative_entry_is_rejected(self):
-        # every row the solvers and checks form is a count
+    @pytest.mark.parametrize("egf", [False, True])
+    def test_a_negative_entry_is_rejected(self, egf):
+        # every row the solvers and checks form is a count, of unlabeled
+        # objects or, under EGF, of labeled ones over k!
+        flavor = Flavor.EGF if egf else Flavor.OGF
         with pytest.raises(ArithmeticError, match="negative"):
-            series._Form([2, -1, 3])
+            series._Form(solver_row([2, -1, 6], flavor))
 
 
 def test_solved_tables_satisfy_their_equations_by_schoolbook():
