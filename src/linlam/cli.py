@@ -76,9 +76,8 @@ def _count_table(args: argparse.Namespace) -> CountTable:
         from . import maps
         table = CountTable(max_n=args.max_n, provenance="maps:all-genera")
         for n in range(1, args.max_n + 1):
-            table.entries.update(
-                maps.census(n, Variant.ALL_GENERA, cap_override=args.cap_override).entries
-            )
+            census = maps.census(n, Variant.ALL_GENERA, cap_override=args.cap_override)
+            table.rows[n] = census.rows[n]
         return table
     if name in _CLASS_FAMILIES:
         from . import exchange
@@ -165,7 +164,7 @@ def cmd_maps_census(args: argparse.Namespace) -> int:
             _write(m.to_text() + "\n")
         return 0
     cens = maps.census(args.edges, variant, cap_override=args.cap_override)
-    cells = [(n, k, c) for (n, k), c in sorted(cens.entries.items())]
+    cells = [(n, k, c) for (n, k), c in cens.entries.items()]
     if args.json:
         _write_json({"variant": variant.value, "edges": args.edges, "cells": cells})
     else:

@@ -259,7 +259,6 @@ def _walk_maps(
     name both maps.
     """
     census = CountTable(max_n=maps_n, provenance="maps:all")
-    entries = census.entries
     planar_totals = []
     parity_problem = repeat_problem = None
     for n in range(1, maps_n + 1):
@@ -268,8 +267,7 @@ def _walk_maps(
 
         def visit(m: maps.RootedMap) -> None:
             nonlocal planar, parity_problem, repeat_problem
-            key = (n, m.n_vertices)
-            entries[key] = entries.get(key, 0) + 1
+            census.add(n, m.n_vertices)
             try:
                 planar += maps.genus(m) == 0
             except ArithmeticError as err:

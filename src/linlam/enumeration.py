@@ -314,7 +314,7 @@ def _count_cells(census: _Counting, max_n: int, provenance: str) -> CountTable:
         ticks = count()
         deque(zip(cell, ticks), maxlen=0)
         if c := next(ticks):
-            table.entries[(n, k)] = c
+            table.add(n, k, c)
     return table
 
 

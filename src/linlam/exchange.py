@@ -129,8 +129,8 @@ class ClassCounts:
 
     @property
     def labeled(self) -> CountTable:
-        entries = {(n, k): factorial(k) * c for (n, k), c in self.unlabeled.entries.items()}
-        return CountTable(self.unlabeled.max_n, entries, f"classes:{self.family.value}")
+        rows = [[factorial(k) * c for k, c in enumerate(row)] for row in self.unlabeled.rows]
+        return CountTable(self.unlabeled.max_n, rows, f"classes:{self.family.value}")
 
 
 def count_classes(family: Family, max_n: int) -> ClassCounts:

@@ -323,14 +323,8 @@ def census(
         check_edge_count(n_edges, variant, cap_override)
         ticks = count()
         _trivalent_search([-1] * (2 * n_edges), ticks.__next__)
-        total = next(ticks)
-        table.entries = {(n_edges, 2 * n_edges // 3): total} if total else {}
+        if total := next(ticks):
+            table.add(n_edges, 2 * n_edges // 3, total)
     else:
-        entries = table.entries
-
-        def tally(m: RootedMap) -> None:
-            key = (n_edges, m.n_vertices)
-            entries[key] = entries.get(key, 0) + 1
-
-        each_map(n_edges, tally, variant, cap_override)
+        each_map(n_edges, lambda m: table.add(n_edges, m.n_vertices), variant, cap_override)
     return table

@@ -52,35 +52,40 @@ FAMILY_SERIES = {
 class CountTable:
     """Census of a two-index family: (n, k) -> exact count.
 
-    Tables are triangular (zero whenever k > n + 1) and remember which
-    producer filled them.
+    Stored as rows, one list per n <= max_n with entry k the count of (n, k),
+    each ending at its last nonzero cell; a series table keeps the solver's
+    own rows.  Every cell outside the rows counts zero, and entries, the
+    nonzero cells keyed by (n, k), is a view built on each read.  Tables are
+    triangular (zero whenever k > n + 1) and remember which producer filled them.
     """
 
-    __slots__ = ("max_n", "entries", "provenance")
+    __slots__ = ("max_n", "rows", "provenance")
 
-    def __init__(self, max_n: int, entries: dict[tuple[int, int], int] | None = None,
+    def __init__(self, max_n: int, rows: list[list[int]] | None = None,
                  provenance: str = "") -> None:
         self.max_n = max_n
-        self.entries = {} if entries is None else entries
+        self.rows = [[] for _ in range(max_n + 1)] if rows is None else rows
         self.provenance = provenance
 
+    def add(self, n: int, k: int, c: int = 1) -> None:
+        row = self.rows[n]
+        row.extend([0] * (k + 1 - len(row)))
+        row[k] += c
+
     def count(self, n: int, k: int) -> int:
-        return self.entries.get((n, k), 0)
+        # bounds first: a negative index would wrap to the other end
+        row = self.rows[n] if 0 <= n < len(self.rows) else ()
+        return row[k] if 0 <= k < len(row) else 0
+
+    @property
+    def entries(self) -> dict[tuple[int, int], int]:
+        return {(n, k): c for n, row in enumerate(self.rows) for k, c in enumerate(row) if c}
 
     def total(self) -> int:
-        return sum(self.entries.values())
+        return sum(map(sum, self.rows))
 
     def row(self, n: int) -> list[int]:
         return [self.count(n, k) for k in range(n + 2)]
-
-    @property
-    def rows(self) -> list[list[int]]:
-        """Each row n <= max_n, up to its last nonzero cell."""
-        rows = [self.row(n) for n in range(self.max_n + 1)]
-        for row in rows:
-            while row and not row[-1]:
-                row.pop()
-        return rows
 
     def closed_sequence(self, last: int | None = None) -> list[int]:
         last = self.max_n if last is None else last

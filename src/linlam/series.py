@@ -58,8 +58,8 @@ Each equation is checked one z-row at a time against the solver's own rows:
 row n of its right-hand side is formed from those rows and the product's row
 n, compared with row n of the solution, and dropped, and the closed column is
 compared with the row sums of b.  So the solve holds no second table, and a
-product with other than trunc + 1 rows fails its equation.  The tables are
-built from the rows after the check, once its product is dropped.
+product with other than trunc + 1 rows fails its equation.  Each table is
+built after the check and holds the solver's rows themselves.
 
 The check's one expensive operation, its product (L L, or b r for a pair),
 runs beside the solver.  From order _SIBLING_TRUNC up, solve forks a
@@ -68,14 +68,16 @@ moment the solver fixes it, L_n or b_n, as marshal data behind an 8-byte
 length.  The sibling reads no r: it forms r_n from b_(n-1) by the pair's own
 abstraction rule, so a wrong r_n fails the neutral equation too.  It
 computes product row n as soon as L_n, or b_(n-1), has come, and once the
-last row has come sends the product rows back the same way and leaves
-through os._exit, so it neither flushes the caller's stdio buffers nor runs
-its atexit hooks.  A sibling whose product raises sends back the
-exception's type and message instead, and the caller raises them in a
-ChildProcessError.  The caller compares the solution with the product and
-reaps the sibling on every path.  Below that order, without os.fork, or with
-another Python thread running, the product consumes the rows in-process
-after the solver.
+last row has come (replying sooner would deadlock once both pipes filled)
+sends the product back the same way, one row per message, then an end
+marker, and leaves through os._exit, so it neither flushes the caller's
+stdio buffers nor runs its atexit hooks.  A sibling whose product raises
+sends back the exception's type and message instead, and the caller raises
+them, or a reply cut before its marker, as a ChildProcessError.  The caller
+compares each product row with the solution as it arrives, never holding
+the product, then closes the reply pipe and reaps the sibling, on every
+path.  Below that order, without os.fork, or with another Python thread
+running, the check consumes the product in-process after the solver.
 """
 
 from __future__ import annotations
@@ -323,22 +325,37 @@ def _received(src) -> Iterator:
 _SIBLING_TRUNC = 40
 
 
-def _beside(rows: Iterator, product, fork: bool, sent=None) -> tuple[list, list[list[int]]]:
-    """The solver's rows, and product(sent(row) for each row) computed beside the solver.
+def _replied(src, why: str) -> Iterator[list[int]]:
+    """The product rows the sibling sends back, one per message, up to its end marker.
 
-    sent picks what the product reads of each row, the whole row by default.
+    A reply cut before the marker, or carrying the sibling's exception, raises
+    ChildProcessError: a cut product neither passes nor fails its equation."""
+    ended = f"the series check's sibling process ended {why}"
+    for value in _received(src):
+        if value is None:  # the end marker
+            return
+        if isinstance(value, str):
+            raise ChildProcessError(ended + value)
+        yield value
+    raise ChildProcessError(ended)
+
+
+def _beside(rows: Iterator, product, check, fork: bool, sent=None) -> tuple[list, dict[str, int]]:
+    """The solver's rows, and check(rows, product(sent(row) for each row)).
+
+    sent picks what the product reads of each row, the whole row by default;
+    check consumes the product a row at a time, so none is held whole here.
     Under fork the product runs in a forked sibling that sees only what is
     sent to it; otherwise, without os.fork, or with another thread running
     (a fork copies only the calling thread, and locks the others hold would
-    stay held in the copy), it runs here afterwards.  A sibling that ends
-    before it replies raises ChildProcessError, carrying the type and message
-    of the exception that ended it, if one did; it is reaped on every path.
+    stay held in the copy), it runs here afterwards.  The sibling is reaped
+    on every path, after its reply pipe is closed.
     """
     sent = sent or (lambda row: row)
     threads = sys.modules.get("threading")  # no module, no other Python thread
     if not (fork and hasattr(os, "fork")) or (threads and threads.active_count() > 1):
         solved = list(rows)
-        return solved, list(product(map(sent, solved)))
+        return solved, check(solved, product(map(sent, solved)))
     rows_in, rows_out = os.pipe()
     reply_in, reply_out = os.pipe()
     pid = os.fork()
@@ -350,11 +367,14 @@ def _beside(rows: Iterator, product, fork: bool, sent=None) -> tuple[list, list[
             os.close(rows_out)
             os.close(reply_in)
             with open(rows_in, "rb") as src, open(reply_out, "wb") as out:
+                # the whole product, then a row per message and the end marker:
+                # replying while rows still come would deadlock once both pipes filled
                 try:
-                    reply = list(product(_received(src)))
+                    reply = [*product(_received(src)), None]
                 except Exception as err:  # the caller raises it, or nothing would show it
-                    reply = f": {type(err).__name__}: {err}"
-                _send(out, reply)
+                    reply = [f": {type(err).__name__}: {err}"]
+                for value in reply:
+                    _send(out, value)
             status = 0
         finally:
             os._exit(status)
@@ -370,10 +390,7 @@ def _beside(rows: Iterator, product, fork: bool, sent=None) -> tuple[list, list[
                         _send(out, sent(row))
             except BrokenPipeError:  # the sibling closed its end of the rows
                 why = "before the solver's last row"
-            reply = next(_received(src), None)
-        if not isinstance(reply, list):  # no reply, or the sibling's exception
-            raise ChildProcessError(f"the series check's sibling process ended {why}{reply or ''}")
-        return solved, reply
+            return solved, check(solved, _replied(src, why))
     finally:
         os.waitpid(pid, 0)
 
@@ -399,18 +416,14 @@ class FamilySolution:
 
 
 def _table(which: FamilyName, rows: list[list[int]], labeled: bool) -> CountTable:
-    """The rows as a table, each labeled row's entry k multiplied by k! in place.
-
-    In place, the table holds the rows' counts rather than a copy beside them.
-    """
+    """The rows themselves as a table, each labeled row's entry k multiplied by k! in place."""
     if labeled:
         for row in rows:
             fact = 1
             for k in range(1, len(row)):
                 fact *= k
                 row[k] *= fact
-    entries = {(n, k): c for n, row in enumerate(rows) for k, c in enumerate(row) if c}
-    return CountTable(len(rows) - 1, entries, f"series:{which.value}")
+    return CountTable(len(rows) - 1, list(rows), f"series:{which.value}")
 
 
 # the names the quotient pair's record gives its fixpoint equation and closed column
@@ -438,7 +451,7 @@ def _cells(got: list[list[int]], want: Iterable[list[int]], failure: str) -> int
     return cells
 
 
-def _x_plus(product: list[list[int]]) -> Iterator[list[int]]:
+def _x_plus(product: Iterable[list[int]]) -> Iterator[list[int]]:
     """Rows of x + product, for the product of a pair's neutral (or fixpoint) equation."""
     return (_add([0, 1] if n == 0 else [], p) for n, p in enumerate(product))
 
@@ -448,15 +461,15 @@ def _dx(row: list[int]) -> list[int]:
     return [k * c for k, c in enumerate(row)][1:]
 
 
-def _verify_linear(s: list[list[int]], square: list[list[int]]) -> dict[str, int]:
+def _verify_linear(s: list[list[int]], square: Iterable[list[int]]) -> dict[str, int]:
     failure = "linear family solution fails its equation"
     rhs = (_add([0, 1] if n == 1 else [], sq, _dx(row))
            for n, (sq, row) in enumerate(zip(square, s, strict=True)))
     return {"L = zx + L^2 + dL/dx": _cells(s, rhs, failure)}
 
 
-def _verify_pair(b: list[list[int]], r: list[list[int]], product: list[list[int]],
-                 pair) -> dict[str, int]:
+def _verify_pair(b: tuple[list[int], ...], r: tuple[list[int], ...],
+                 product: Iterable[list[int]], pair) -> dict[str, int]:
     nb, nr = (name.value for name in pair)
     labeled = pair[0] is FamilyName.LB
     dr = f"d{nr}/dx" if labeled else f"({nr} - {nr}(x=0))/x"
@@ -471,8 +484,8 @@ def _verify_pair(b: list[list[int]], r: list[list[int]], product: list[list[int]
     }
 
 
-def _verify_quotient(b: list[list[int]], r: list[list[int]],
-                     product: list[list[int]]) -> dict[str, int]:
+def _verify_quotient(b: tuple[list[int], ...], r: tuple[list[int], ...],
+                     product: Iterable[list[int]]) -> dict[str, int]:
     failure = "quotient solution fails its fixpoint equation"
     shifted = chain(([],), map(_taylor_shift_row, islice(b, len(b) - 1)))
     checked = {
@@ -493,8 +506,7 @@ def solve(which: FamilyName | str, trunc: int = 12) -> FamilySolution:
     solution is checked against its defining equations before returning,
     one z-row at a time against the solver's own rows, so the solve builds
     no series but the ones it returns; a failure raises ArithmeticError.
-    Each series is returned as a CountTable, built from the checked rows
-    once the check's product is dropped.
+    Each series is returned as a CountTable that holds the checked rows.
     The check's product (L L, or b r with r formed from b alone) is computed
     beside the solver, in a sibling process from order _SIBLING_TRUNC up if
     the platform can fork, and must have exactly trunc + 1 rows.
@@ -507,9 +519,7 @@ def solve(which: FamilyName | str, trunc: int = 12) -> FamilySolution:
         raise ValueError("truncation must be non-negative")
     fork = trunc >= _SIBLING_TRUNC
     if which is FamilyName.L:
-        rows, square = _beside(_rows_linear(trunc), _square_rows, fork)
-        checked = _verify_linear(rows, square)
-        del square  # the solve's forms, not the table, set the peak
+        rows, checked = _beside(_rows_linear(trunc), _square_rows, _verify_linear, fork)
         series = _table(which, rows, True)
         return FamilySolution(which, Flavor.EGF, series, {which: series}, checked)
     pair = next(p for p in _PAIRS if which in p)
@@ -519,13 +529,15 @@ def solve(which: FamilyName | str, trunc: int = 12) -> FamilySolution:
     # same-order derivative, back-substituted under the degree bound n
     abstract = ((lambda row, n: _taylor_shift_row(row)) if quotient
                 else (lambda row, n: _back_substitute(row, n, labeled)))
-    pairs, product = _beside(
+
+    def check(pairs, product):
+        b, r = zip(*pairs)
+        return _verify_quotient(b, r, product) if quotient else _verify_pair(b, r, product, pair)
+
+    pairs, checked = _beside(
         _rows_pair(trunc, abstract), lambda bs: _pair_products(bs, abstract, trunc),
-        fork, sent=lambda pair: pair[0],
+        check, fork, sent=lambda pair: pair[0],
     )
-    b, r = map(list, zip(*pairs))
-    checked = _verify_quotient(b, r, product) if quotient else _verify_pair(b, r, product, pair)
-    del product  # the solve's forms, not the tables, set the peak
-    system = {name: _table(name, rows, labeled) for name, rows in zip(pair, (b, r))}
+    system = {name: _table(name, rows, labeled) for name, rows in zip(pair, zip(*pairs))}
     flavor = Flavor.EGF if labeled else Flavor.OGF
     return FamilySolution(which, flavor, system[which], system, checked)

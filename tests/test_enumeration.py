@@ -413,3 +413,9 @@ class TestCountTable:
     def test_count_outside_table_is_zero(self):
         table = CountTable(max_n=2)
         assert table.count(7, 1) == 0
+        # stored rows are lists, and a negative index would wrap to their far end
+        table = count_family(Family.NEUTRAL, 2)
+        assert table.rows == [[0, 1], [0, 1, 2], [0, 4, 10, 12]]
+        for n, k in [(-1, 1), (-3, 1), (2, -1), (1, -2), (-1, -1), (3, 0), (7, 1)]:
+            assert table.count(n, k) == 0, (n, k)
+        assert table.row(-1) == [0]

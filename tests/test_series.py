@@ -1,10 +1,13 @@
 import hashlib
+import marshal
 import os
 import random
 import signal
 import subprocess
 import sys
 import threading
+import tracemalloc
+from contextlib import contextmanager
 from math import factorial
 from pathlib import Path
 
@@ -676,6 +679,21 @@ class Hung(Exception):
     pass
 
 
+@contextmanager
+def hang_guard(seconds=60):
+    """Raise Hung in place of waiting more than seconds."""
+    def hung(signum, frame):
+        raise Hung
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize("trunc", [FORKED, 70])
 def test_a_sibling_that_dies_without_replying(monkeypatch, trunc):
     caller = os.getpid()
@@ -685,19 +703,119 @@ def test_a_sibling_that_dies_without_replying(monkeypatch, trunc):
             os._exit(3)
         raise AssertionError("the product ran in the caller's process")
 
-    def hung(signum, frame):
-        raise Hung
-
     monkeypatch.setattr(series, "_square_rows", die)
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(60)
-    try:
-        with pytest.raises(OSError):
-            solve(FamilyName.L, trunc)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    with hang_guard(), pytest.raises(OSError):
+        solve(FamilyName.L, trunc)
     assert_no_child()
+
+
+def spy_replies(monkeypatch):
+    """The messages the caller reads back from the sibling, recorded as they are read."""
+    replies = []
+    real = series._received
+    caller = os.getpid()
+
+    def spy(src):
+        for value in real(src):
+            if os.getpid() == caller:
+                replies.append(value)
+            yield value
+
+    monkeypatch.setattr(series, "_received", spy)
+    return replies
+
+
+def product_rows(sol, trunc):
+    """The check's product for a solution, computed here from its tables' rows."""
+    rows = [solver_row(row, sol.flavor) for row in sol.series.rows]
+    if sol.which is FamilyName.L:
+        return list(series._square_rows(rows))
+    pair = next(p for p in series._PAIRS if sol.which in p)
+    return list(series._pair_products(rows, abstraction(pair), trunc))
+
+
+@pytest.mark.parametrize("which", ["L", "LB", "PB", "QB"])
+def test_each_reply_message_is_one_product_row(monkeypatch, which):
+    # the caller never holds the product whole: trunc + 1 rows, one a message, then the end marker
+    replies = spy_replies(monkeypatch)
+    sol = solve(which, FORKED)
+    assert replies == [*product_rows(sol, FORKED), None]
+    assert len(replies) == FORKED + 2
+    assert_no_child()
+
+
+@pytest.mark.parametrize("forked", [True, False])
+def test_an_early_failing_check_stops_reading_the_product(monkeypatch, forked):
+    # a copy of b_3 is bumped, so the check fails at row 3 with more than a
+    # pipe's worth of reply still to come: the sibling, blocked on the full
+    # pipe, must find it closed, not wait for a reader; in-process, no
+    # product row past row 3 is made
+    pending = product_rows(solve("LB", 70), 70)[4:]
+    assert sum(len(marshal.dumps(row)) for row in pending) > 1 << 16
+    real_rows, real_products = series._rows_pair, series._pair_products
+    caller = os.getpid()
+    read = spy_replies(monkeypatch)
+
+    def bump_row_3(trunc, abstract):
+        for n, (b, r) in enumerate(real_rows(trunc, abstract)):
+            yield (bumped(b) if n == 3 else b), r
+
+    def products(*args):
+        for row in real_products(*args):
+            if os.getpid() == caller:
+                read.append(row)
+            yield row
+
+    monkeypatch.setattr(series, "_rows_pair", bump_row_3)
+    monkeypatch.setattr(series, "_pair_products", products)
+    if not forked:
+        monkeypatch.delattr(os, "fork")
+    with hang_guard(), pytest.raises(ArithmeticError, match="neutral family"):
+        solve("LB", 70)
+    assert len(read) == 4
+    assert_no_child()
+
+
+# 5 rows, or the whole product, which without its end marker must not pass either
+@pytest.mark.parametrize("kept", [5, FORKED + 1])
+def test_a_reply_cut_between_rows(monkeypatch, kept):
+    real = series._send
+    caller = os.getpid()
+    replied = []
+
+    def cut(out, value):
+        if os.getpid() != caller:  # the sibling: leave after kept rows
+            if len(replied) == kept:
+                os._exit(0)
+            replied.append(value)
+        real(out, value)
+
+    monkeypatch.setattr(series, "_send", cut)
+    with hang_guard(), pytest.raises(ChildProcessError, match="sibling process ended"):
+        solve(FamilyName.L, FORKED)
+    assert replied == []
+    assert_no_child()
+
+
+def test_tables_keep_the_solver_rows(monkeypatch):
+    # a series table holds the solver's row lists: no key per cell, no dict
+    grown = []
+    real = series._table
+
+    def spy(*args):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        table = real(*args)
+        grown.append(tracemalloc.get_traced_memory()[1] - start)
+        return table
+
+    monkeypatch.setattr(series, "_table", spy)
+    tracemalloc.start()
+    try:
+        solve(FamilyName.PB, 70)
+    finally:
+        tracemalloc.stop()
+    assert len(grown) == 2 and max(grown) < 2048, grown
 
 
 def test_a_sibling_that_dies_while_rows_come(monkeypatch):
